@@ -873,15 +873,26 @@ pub fn run(opts: &Options) -> Result<(), String> {
     }
 }
 
+/// Configures an accepted connection for request/response traffic:
+/// Nagle's algorithm off, so a response's tail never waits for the
+/// client's delayed ACK of its head.
+fn configure_stream(stream: &std::net::TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
+}
+
 /// One TCP connection: requests stream through the same worker-pool
 /// shape as stdin batches (`--threads` means the same thing in both
 /// modes), and responses stream back *in request order* as soon as each
-/// is ready — a reassembly writer holds out-of-order completions.
+/// is ready — a reassembly writer holds out-of-order completions and
+/// sends each response line in one write.
 fn serve_connection(stream: std::net::TcpStream, hub: &Hub, threads: usize) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
+    if let Err(e) = configure_stream(&stream) {
+        eprintln!("{peer}: nodelay: {e}");
+    }
     let reader = std::io::BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
@@ -889,7 +900,7 @@ fn serve_connection(stream: std::net::TcpStream, hub: &Hub, threads: usize) {
             return;
         }
     });
-    let mut writer = std::io::BufWriter::new(stream);
+    let mut writer = stream;
     let workers = effective_threads(threads);
     std::thread::scope(|scope| {
         let (work_tx, work_rx) = std::sync::mpsc::channel::<(usize, String, Instant)>();
@@ -913,8 +924,10 @@ fn serve_connection(stream: std::net::TcpStream, hub: &Hub, threads: usize) {
             let mut next = 0usize;
             while let Ok((i, resp)) = done_rx.recv() {
                 pending.insert(i, resp);
-                while let Some(r) = pending.remove(&next) {
-                    if writeln!(writer, "{r}")
+                while let Some(mut line) = pending.remove(&next) {
+                    line.push('\n');
+                    if writer
+                        .write_all(line.as_bytes())
                         .and_then(|()| writer.flush())
                         .is_err()
                     {
@@ -1180,6 +1193,15 @@ mod tests {
             metrics.get("schema").unwrap().as_str(),
             Some(imagen_obs::SNAPSHOT_SCHEMA)
         );
+    }
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_stream(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
     }
 
     #[test]

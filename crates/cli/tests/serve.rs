@@ -260,6 +260,11 @@ fn metrics_registry_survives_concurrent_hammering() {
             }
             let _ = snap.to_json();
         }
+        // On a loaded machine the workers may not have been scheduled
+        // yet: let them record before stopping them.
+        while metrics.snapshot().counter("hammer.count") < 4 {
+            std::thread::yield_now();
+        }
         stop.store(true, Ordering::Relaxed);
     });
     let snap = metrics.snapshot();

@@ -310,7 +310,7 @@ impl Session {
     /// default bit widths, memoized — **without** rendering any Verilog
     /// text. This is the measurement path: design-space exploration
     /// prices points plan-only ([`Session::price`]), then populates
-    /// measured energy on demand by interpreting the cached netlist,
+    /// measured energy on demand from the cached netlist,
     /// and a later [`Session::compile`] of the same point reuses it and
     /// only adds text rendering.
     ///

@@ -43,14 +43,16 @@
 use imagen_core::{CompileError, Session};
 use imagen_ir::Dag;
 use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
-use imagen_rtl::{build_netlist, report_resources_for, BitWidths, InterpError, ResourceReport};
+use imagen_rtl::{
+    build_netlist, report_resources_for, BitWidths, DataTrace, InterpError, Netlist, ResourceReport,
+};
 use imagen_schedule::Plan;
 use imagen_sim::Image;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-stage memory choice explored by the DSE (Sec. 8.5).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -223,10 +225,13 @@ impl DseResult {
         spec_for(backend, &self.buffered_stages, &point.choices)
     }
 
-    /// Populates (and returns) the measured energy of point `index` by
-    /// interpreting its netlist — fetched from `session`'s cache, built
-    /// without Verilog if absent — on `input`, under both the ungated
-    /// and the clock-gated variants. Memoized on the point: a second
+    /// Populates (and returns) the measured energy of point `index` from
+    /// its netlist — fetched from `session`'s cache, built without
+    /// Verilog if absent — on `inputs`, under both the ungated and the
+    /// clock-gated variants. The stage images are computed once (one
+    /// data pass) and both variants are repriced from them by the
+    /// structure pass; points outside its guard are interpreted twice
+    /// instead, with identical results. Memoized on the point: a second
     /// call is free.
     ///
     /// `session` must be a session for the same DAG/geometry the sweep
@@ -247,13 +252,8 @@ impl DseResult {
         let point = &self.points[index];
         let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
         let net = session.netlist(&spec, Some(point.design.style))?;
-        let pm = imagen_power::measure_netlist(&net, &point.design, inputs)?;
-        let m = MeasuredEnergy {
-            energy_pj_per_frame: pm.ungated.energy_pj_per_frame(),
-            power_mw: pm.ungated.total_mw(),
-            gated_power_mw: pm.gated.total_mw(),
-            gated_off_cycles: pm.gated_off_cycles(),
-        };
+        let data = DataTrace::record(&net, inputs)?;
+        let m = measured_energy(&net, &point.design, inputs, data.as_ref())?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -283,15 +283,23 @@ pub enum ExploreStrategy {
 
 /// Whether [`explore`] measures each point's energy while sweeping.
 ///
-/// The netlist interpreter compiles each point to a flat evaluation
-/// program and streams the frame through it, which makes full measured
-/// sweeps cheap enough to be the default: every [`DsePoint`] comes back
-/// with [`DsePoint::measured`] populated, so the measured-energy
-/// frontier (`pareto_front_by` over `(area, energy)`) is available
-/// without a second pass.
+/// Measurement is cheap enough to be the default: every [`DsePoint`]
+/// comes back with [`DsePoint::measured`] populated, so the
+/// measured-energy frontier (`pareto_front_by` over `(area, energy)`) is
+/// available without a second pass. Every point of a sweep computes the
+/// same pixels on the same stimulus, so the data-dependent half of the
+/// measurement — stage images, register toggles, load-stream toggle
+/// sums ([`DataTrace`]) — is recorded once per sweep, by the first
+/// measured point. Each point then pays only for its structure pass
+/// (block sweep, closed forms, and the sums reassembled at its window
+/// sizes), for its ungated and its clock-gated netlist alike, and prices
+/// both traces. Points outside the structure pass's guard — multirate
+/// pipelines such as the pyramids, or any schedule whose gate windows
+/// would zero a load — are interpreted in full, ungated and gated.
+/// Both routes give bit-identical [`MeasuredEnergy`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MeasureMode {
-    /// Interpret every point's netlist (ungated and clock-gated) on
+    /// Measure every point's netlist (ungated and clock-gated) on
     /// deterministic seeded noise frames — one frame per input stream,
     /// stream `i` seeded with `seed + i` (the `imagen_algos::noise_bits`
     /// stimulus convention shared with the CLI).
@@ -364,26 +372,62 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
         .collect()
 }
 
-fn point_from(plan: &Plan, choices: Vec<StageChoice>, inputs: Option<&[Image]>) -> DsePoint {
+/// Measured energy of `net` and its clock-gated variant, repriced from
+/// `data` where the structure-pass guard holds.
+fn measured_energy(
+    net: &Netlist,
+    design: &Design,
+    inputs: &[Image],
+    data: Option<&DataTrace>,
+) -> Result<MeasuredEnergy, InterpError> {
+    let gating = imagen_power::gating_plan(net);
+    let e = imagen_power::measure_design_point(net, &gating, design, inputs, data)?;
+    Ok(MeasuredEnergy {
+        energy_pj_per_frame: e.ungated.energy_pj_per_frame(),
+        power_mw: e.ungated.total_mw(),
+        gated_power_mw: e.gated.total_mw(),
+        gated_off_cycles: e.gated_off_cycles,
+    })
+}
+
+/// The measuring half of one [`explore`] call: its stimulus and the data
+/// pass recorded on it. The first measured point records the
+/// [`DataTrace`]; every later point, on any worker, reprices from it.
+/// Dropped with the call — nothing is cached across sweeps.
+struct Measurer<'a> {
+    inputs: &'a [Image],
+    data: OnceLock<Option<DataTrace>>,
+}
+
+impl<'a> Measurer<'a> {
+    fn new(inputs: &'a [Image]) -> Measurer<'a> {
+        Measurer {
+            inputs,
+            data: OnceLock::new(),
+        }
+    }
+
+    fn measure(&self, plan: &Plan) -> MeasuredEnergy {
+        let _s = imagen_obs::span("dse.point.measure");
+        // The netlist is transient (not cached), so a 2^N sweep does not
+        // pin 2^N netlists.
+        let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+        let data = self.data.get_or_init(|| {
+            let _s = imagen_obs::span("dse.data_trace");
+            DataTrace::record(&net, self.inputs)
+                .expect("sweep inputs are built to the sweep geometry")
+        });
+        measured_energy(&net, &plan.design, self.inputs, data.as_ref())
+            .expect("sweep inputs are built to the sweep geometry")
+    }
+}
+
+fn point_from(plan: &Plan, choices: Vec<StageChoice>, measurer: Option<&Measurer>) -> DsePoint {
     let design = plan.design.clone();
     // The fast path: same numbers as walking the full netlist (pinned by
     // test in imagen-rtl), no per-point elaboration in the pricing loop.
     let resources = report_resources_for(&plan.dag, &design, &BitWidths::default());
-    // Measured-energy default-on: elaborate and interpret the point's
-    // netlist right here in the pricing loop. The interpreter's compiled
-    // evaluation program makes this cheap; the netlist is transient (not
-    // cached), so a 2^N sweep does not pin 2^N netlists.
-    let measured = inputs.map(|inputs| {
-        let net = build_netlist(&plan.dag, &design, &BitWidths::default());
-        let pm = imagen_power::measure_netlist(&net, &design, inputs)
-            .expect("sweep inputs are built to the sweep geometry");
-        MeasuredEnergy {
-            energy_pj_per_frame: pm.ungated.energy_pj_per_frame(),
-            power_mw: pm.ungated.total_mw(),
-            gated_power_mw: pm.gated.total_mw(),
-            gated_off_cycles: pm.gated_off_cycles(),
-        }
-    });
+    let measured = measurer.map(|m| m.measure(plan));
     DsePoint {
         choices,
         area_mm2: design.total_area_mm2(),
@@ -405,7 +449,7 @@ fn evaluate_masks(
     buffered: &[usize],
     masks: &[u64],
     threads: usize,
-    inputs: Option<&[Image]>,
+    measurer: Option<&Measurer>,
 ) -> Result<Vec<DsePoint>, CompileError> {
     let n = buffered.len();
     // Exhaustive/random mask lists never repeat, so memoizing every plan
@@ -413,8 +457,11 @@ fn evaluate_masks(
     let price = |mask: u64| -> Result<DsePoint, CompileError> {
         let choices = choices_for(mask, n);
         let spec = spec_for(backend, buffered, &choices);
-        let plan = session.price_transient(&spec, None)?;
-        Ok(point_from(&plan, choices, inputs))
+        let plan = {
+            let _s = imagen_obs::span("dse.point.price");
+            session.price_transient(&spec, None)?
+        };
+        Ok(point_from(&plan, choices, measurer))
     };
 
     let threads = if threads == 0 {
@@ -433,11 +480,20 @@ fn evaluate_masks(
     let mut slots: Vec<Option<Result<DsePoint, CompileError>>> = Vec::new();
     slots.resize_with(masks.len(), || None);
     let chunk = masks.len().div_ceil(threads);
+    // Workers report their spans to the caller's profile, if any.
+    let collector = imagen_obs::current_collector();
     std::thread::scope(|scope| {
         for (slot_chunk, mask_chunk) in slots.chunks_mut(chunk).zip(masks.chunks(chunk)) {
+            let collector = collector.clone();
             scope.spawn(move || {
-                for (slot, &mask) in slot_chunk.iter_mut().zip(mask_chunk) {
-                    *slot = Some(price(mask));
+                let mut work = move || {
+                    for (slot, &mask) in slot_chunk.iter_mut().zip(mask_chunk) {
+                        *slot = Some(price(mask));
+                    }
+                };
+                match &collector {
+                    Some(c) => imagen_obs::with_collector(c, work),
+                    None => work(),
                 }
             });
         }
@@ -449,6 +505,22 @@ fn evaluate_masks(
 }
 
 /// Explores the per-stage DP/DPLC space of `dag` under `opts`.
+///
+/// Under a measuring [`MeasureMode`] the sweep measures once and
+/// reprices per point: the first measured point records the sweep's
+/// [`DataTrace`] (the stage images and toggle sums of the shared
+/// datapath on the shared stimulus), which lives for this call only and
+/// is shared by reference across the worker threads; every point is then
+/// measured by its structure pass, ungated and clock-gated, without
+/// interpreting a netlist. Points outside the structure pass's guard
+/// (see [`MeasureMode`]) are interpreted in full. Either way each
+/// [`DsePoint::measured`] is bit-identical to
+/// `imagen_power::measure_netlist` on that point's netlist.
+///
+/// With an `imagen_obs` collector installed, the sweep reports the spans
+/// `dse.point.price` and `dse.point.measure` per point, `dse.data_trace`
+/// once, and `program.run` / `power.measure` beneath them — on every
+/// worker thread.
 ///
 /// # Errors
 ///
@@ -471,19 +543,20 @@ pub fn explore(
     assert!(n <= 64, "{n} buffered stages exceed the u64 mask width");
 
     let inputs = measure_inputs(dag, geom, opts.measure);
-    let inputs = inputs.as_deref();
+    let measurer = inputs.as_deref().map(Measurer::new);
+    let measurer = measurer.as_ref();
 
     let points = match opts.strategy {
         ExploreStrategy::Exhaustive => {
             assert!(n <= 20, "sweep of 2^{n} points is impractical");
             let masks: Vec<u64> = (0..(1u64 << n)).collect();
-            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, inputs)?
+            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, measurer)?
         }
         ExploreStrategy::Random { samples, seed } => {
             let masks = sample_masks(n, samples, seed);
-            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, inputs)?
+            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, measurer)?
         }
-        ExploreStrategy::Greedy => greedy_walk(&session, backend, &buffered, inputs)?.points,
+        ExploreStrategy::Greedy => greedy_walk(&session, backend, &buffered, measurer)?.points,
     };
 
     let (hits, misses) = session.cache().stats();
@@ -580,7 +653,7 @@ fn greedy_walk(
     session: &Session,
     backend: MemBackend,
     buffered: &[usize],
-    inputs: Option<&[Image]>,
+    measurer: Option<&Measurer>,
 ) -> Result<GreedyOutcome, CompileError> {
     let n = buffered.len();
     assert!(n <= 64, "{n} buffered stages exceed the u64 mask width");
@@ -597,9 +670,12 @@ fn greedy_walk(
 
     let mut price = |choices: &[StageChoice]| -> Result<Arc<Plan>, CompileError> {
         let spec = spec_for(backend, buffered, choices);
-        let plan = session.price(&spec, Some(DesignStyle::OursLc))?;
+        let plan = {
+            let _s = imagen_obs::span("dse.point.price");
+            session.price(&spec, Some(DesignStyle::OursLc))?
+        };
         if recorded.insert(mask_of(choices)) {
-            points.push(point_from(&plan, choices.to_vec(), inputs));
+            points.push(point_from(&plan, choices.to_vec(), measurer));
         }
         Ok(plan)
     };

@@ -1,0 +1,389 @@
+//! Measure once, reprice per point: the structure pass against the full
+//! traced interpretation.
+//!
+//! * Every `examples/*.imagen` sweep and randomly generated DAG sweeps,
+//!   under two stimuli and at 1 and 4 worker threads, measure every point
+//!   bit for bit as `imagen_power::measure_netlist` does, and the
+//!   structure pass reproduces `interpret_with_trace`'s activity trace
+//!   field for field, ungated and clock-gated.
+//! * Points outside the guard take the interpreting path: multirate
+//!   sweeps, and a partially gated (corrupted) gate window — which must
+//!   still trip the gated ≡ ungated output assertion.
+//! * A rate-1 sweep records its data pass once and interprets nothing.
+
+use imagen_core::Session;
+use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
+use imagen_ir::{BinOp, CmpOp, Dag, Expr};
+use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
+use imagen_obs::Collector;
+use imagen_power::{gate_clocks, gating_plan, measure_design_point, measure_netlist};
+use imagen_rtl::{build_netlist, interpret_with_trace, BitWidths, DataTrace, Netlist};
+use imagen_sim::Image;
+use proptest::prelude::*;
+use std::sync::Arc;
+
+fn geom() -> ImageGeometry {
+    ImageGeometry {
+        width: 32,
+        height: 24,
+        pixel_bits: 16,
+    }
+}
+
+fn backend() -> MemBackend {
+    // Blocks hold two rows, so DPLC is available.
+    MemBackend::Asic {
+        block_bits: 2 * 32 * 16,
+    }
+}
+
+const MODES: [MeasureMode; 2] = [
+    MeasureMode::Noise { seed: 1, bits: 4 },
+    MeasureMode::Noise { seed: 7, bits: 8 },
+];
+
+/// The stimulus `explore` measures on under `mode`.
+fn stimulus(dag: &Dag, mode: MeasureMode) -> Vec<Image> {
+    let MeasureMode::Noise { seed, bits } = mode else {
+        unreachable!("only measuring modes are swept")
+    };
+    let g = geom();
+    (0..dag.stages().filter(|(_, s)| s.is_input()).count())
+        .map(|i| {
+            let seed = seed.wrapping_add(i as u64);
+            Image::from_fn(g.width, g.height, move |x, y| {
+                imagen_algos::noise_bits(seed, x, y, bits)
+            })
+        })
+        .collect()
+}
+
+fn sweep(dag: &Dag, mode: MeasureMode, threads: usize) -> DseResult {
+    explore(
+        dag,
+        &geom(),
+        backend(),
+        ExploreOptions {
+            strategy: ExploreStrategy::Exhaustive,
+            threads,
+            measure: mode,
+        },
+    )
+    .expect("sweep")
+}
+
+/// The netlist of point `mask` of `res`, as `explore` builds it.
+fn point_netlist(session: &Session, res: &DseResult, mask: usize) -> (Netlist, imagen_mem::Design) {
+    let mut spec = MemorySpec::new(backend(), 2);
+    for (bit, &stage) in res.buffered_stages.iter().enumerate() {
+        spec.set_stage(
+            stage,
+            StageMemConfig {
+                ports: 2,
+                coalesce: mask & (1 << bit) != 0,
+            },
+        );
+    }
+    let plan = session.price_transient(&spec, None).expect("price");
+    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+    (net, plan.design.clone())
+}
+
+/// Sweeps `dag` under both stimuli at 1 and 4 threads and checks every
+/// point against the reference measurement and the reference traces.
+fn check_sweeps(name: &str, dag: &Dag) {
+    let session = Session::new(dag, geom());
+    for mode in MODES {
+        let inputs = stimulus(dag, mode);
+        let sweeps = [sweep(dag, mode, 1), sweep(dag, mode, 4)];
+        let n = sweeps[0].points.len();
+        assert_eq!(
+            n,
+            1 << sweeps[0].buffered_stages.len(),
+            "{name}: point count"
+        );
+        let mut data: Option<DataTrace> = None;
+        for mask in 0..n {
+            let (net, design) = point_netlist(&session, &sweeps[0], mask);
+            let reference = measure_netlist(&net, &design, &inputs).expect("reference");
+            for (threads, res) in [1, 4].iter().zip(&sweeps) {
+                let m = res.points[mask].measured.expect("measured sweep");
+                let tag = format!("{name} {mode:?} threads {threads} point {mask}");
+                assert_eq!(
+                    m.energy_pj_per_frame.to_bits(),
+                    reference.ungated.energy_pj_per_frame().to_bits(),
+                    "{tag}: energy"
+                );
+                assert_eq!(
+                    m.power_mw.to_bits(),
+                    reference.ungated.total_mw().to_bits(),
+                    "{tag}: power"
+                );
+                assert_eq!(
+                    m.gated_power_mw.to_bits(),
+                    reference.gated.total_mw().to_bits(),
+                    "{tag}: gated power"
+                );
+                assert_eq!(
+                    m.gated_off_cycles,
+                    reference.gated_off_cycles(),
+                    "{tag}: gated-off cycles"
+                );
+            }
+
+            // The trace level: the data pass recorded on the first point
+            // reprices every point exactly as interpretation counts it.
+            if mask == 0 {
+                data = DataTrace::record(&net, &inputs).expect("record");
+            }
+            let tag = format!("{name} {mode:?} point {mask}");
+            let Some(data) = &data else {
+                assert!(
+                    dag.is_multirate(),
+                    "{tag}: rate-1 sweeps record a data trace"
+                );
+                continue;
+            };
+            let (_, want) = interpret_with_trace(&net, &inputs).expect("ungated trace");
+            let got = data.structure_trace(&net, None).expect("structure pass");
+            assert_eq!(got.as_ref(), Some(&want), "{tag}: ungated trace");
+            let plan = gating_plan(&net);
+            let (_, want) = interpret_with_trace(&gate_clocks(&net), &inputs).expect("gated trace");
+            let got = data
+                .structure_trace(&net, Some(&plan))
+                .expect("structure pass");
+            assert_eq!(got.as_ref(), Some(&want), "{tag}: gated trace");
+        }
+    }
+}
+
+fn example(name: &str) -> Dag {
+    let path = format!(
+        "{}/../../examples/{name}.imagen",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    imagen_dsl::compile(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn every_example_sweep_reprices_bit_identically() {
+    let dir = format!("{}/../../examples", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("examples directory")
+        .filter_map(|e| {
+            let path = e.ok()?.path();
+            (path.extension()? == "imagen").then(|| path.file_stem()?.to_str().map(String::from))?
+        })
+        .collect();
+    names.sort();
+    assert!(names.len() >= 10, "the example corpus: {names:?}");
+    for name in &names {
+        check_sweeps(name, &example(name));
+    }
+}
+
+#[test]
+fn synthetic_pipeline_sweeps_reprice_bit_identically() {
+    for seed in [3, 11] {
+        let dag = imagen_algos::synthetic_pipeline(6, seed);
+        check_sweeps(&format!("synthetic-6-{seed}"), &dag);
+    }
+}
+
+/// SplitMix64 step: the random DAGs are reproducible from the case seed.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A random kernel over producer slots `0..slots`, biased toward the
+/// datapath's edge cases: wrapping arithmetic, division by a
+/// possibly-zero value, out-of-range shifts, selects and inverted clamps.
+fn rand_expr(state: &mut u64, depth: u32, slots: u64) -> Expr {
+    let tap = |state: &mut u64| {
+        Expr::tap(
+            (next(state) % slots) as usize,
+            (next(state) % 3) as i32 - 1,
+            (next(state) % 3) as i32 - 1,
+        )
+    };
+    if depth == 0 || next(state) % 8 < 2 {
+        return if next(state).is_multiple_of(3) {
+            Expr::Const((next(state) % 41) as i64 - 20)
+        } else {
+            tap(state)
+        };
+    }
+    let d = depth - 1;
+    let sub = |state: &mut u64| rand_expr(state, d, slots);
+    match next(state) % 8 {
+        0 => Expr::bin(BinOp::Add, sub(state), sub(state)),
+        1 => Expr::bin(BinOp::Mul, sub(state), sub(state)),
+        2 => Expr::bin(
+            BinOp::Div,
+            sub(state),
+            Expr::bin(BinOp::Sub, tap(state), tap(state)),
+        ),
+        3 => Expr::bin(
+            BinOp::Shl,
+            sub(state),
+            Expr::Const((next(state) % 70) as i64),
+        ),
+        4 => Expr::bin(
+            BinOp::Shr,
+            sub(state),
+            Expr::Const((next(state) % 70) as i64),
+        ),
+        5 => Expr::Abs(Box::new(sub(state))),
+        6 => Expr::select(
+            Expr::cmp(CmpOp::Lt, sub(state), sub(state)),
+            sub(state),
+            sub(state),
+        ),
+        _ => Expr::Clamp {
+            value: Box::new(sub(state)),
+            lo: Box::new(sub(state)),
+            hi: Box::new(sub(state)),
+        },
+    }
+}
+
+/// A random pipeline of `n_stages` compute stages; a stage sometimes also
+/// reads the input, giving the input buffer several consumers.
+fn rand_dag(seed: u64, n_stages: usize) -> Dag {
+    let mut state = seed;
+    let mut dag = Dag::new("fuzz");
+    let input = dag.add_input("K0");
+    let mut prev = input;
+    for i in 0..n_stages {
+        let producers = if i > 0 && next(&mut state).is_multiple_of(2) {
+            vec![prev, input]
+        } else {
+            vec![prev]
+        };
+        let slots = producers.len() as u64;
+        let mut expr = Expr::bin(
+            BinOp::Add,
+            Expr::tap(0, 0, 0),
+            rand_expr(&mut state, 3, slots),
+        );
+        if slots > 1 {
+            expr = Expr::bin(BinOp::Sub, expr, Expr::tap(1, -1, 1));
+        }
+        prev = dag
+            .add_stage(format!("K{}", i + 1), &producers, expr)
+            .expect("valid stage");
+    }
+    dag.mark_output(prev);
+    dag
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn random_dag_sweeps_reprice_bit_identically(seed in 0u64..u64::MAX, n_stages in 1usize..5) {
+        check_sweeps(&format!("fuzz {seed:#x}/{n_stages}"), &rand_dag(seed, n_stages));
+    }
+}
+
+/// Spans named `name` in `c`.
+fn count(c: &Collector, name: &str) -> usize {
+    c.spans().iter().filter(|s| s.name == name).count()
+}
+
+#[test]
+fn multirate_sweeps_take_the_reference_path() {
+    let dag = example("gaussian_pyramid");
+    assert!(dag.is_multirate());
+    let collector = Arc::new(Collector::new());
+    let res = imagen_obs::with_collector(&collector, || sweep(&dag, MeasureMode::default(), 1));
+    // Every point interprets its ungated and its gated netlist.
+    assert_eq!(count(&collector, "program.run"), 2 * res.points.len());
+    assert_eq!(count(&collector, "dse.point.measure"), res.points.len());
+
+    let session = Session::new(&dag, geom());
+    let (net, _) = point_netlist(&session, &res, 0);
+    let inputs = stimulus(&dag, MeasureMode::default());
+    assert!(DataTrace::record(&net, &inputs).unwrap().is_none());
+}
+
+#[test]
+fn corrupted_gate_window_takes_the_reference_path_and_trips_the_assertion() {
+    let dag = example("unsharp_m");
+    let session = Session::new(&dag, geom());
+    let res = sweep(&dag, MeasureMode::Off, 1);
+    let (net, design) = point_netlist(&session, &res, 0);
+    let inputs = stimulus(&dag, MeasureMode::default());
+    let data = DataTrace::record(&net, &inputs)
+        .unwrap()
+        .expect("rate-1 data trace");
+
+    // The derived plan passes the guard: no interpretation at all.
+    let plan = gating_plan(&net);
+    assert!(data.structure_trace(&net, Some(&plan)).unwrap().is_some());
+    let collector = Arc::new(Collector::new());
+    imagen_obs::with_collector(&collector, || {
+        measure_design_point(&net, &plan, &design, &inputs, Some(&data)).unwrap()
+    });
+    assert_eq!(count(&collector, "program.run"), 0);
+
+    // A window that ends half a frame early zeroes live loads: the guard
+    // refuses it, and the interpreting path catches the corruption.
+    let mut corrupt = plan.clone();
+    corrupt.gates[0].read_end -= net.frame / 2;
+    assert!(data
+        .structure_trace(&net, Some(&corrupt))
+        .unwrap()
+        .is_none());
+    let collector = Arc::new(Collector::new());
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        imagen_obs::with_collector(&collector, || {
+            measure_design_point(&net, &corrupt, &design, &inputs, Some(&data))
+        })
+    }));
+    let panic = outcome.expect_err("a partially gated window must trip the assertion");
+    let msg = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        msg.contains("clock gating changed the output"),
+        "unexpected panic: {msg}"
+    );
+    assert_eq!(
+        count(&collector, "program.run"),
+        2,
+        "both netlists interpreted"
+    );
+}
+
+#[test]
+fn rate_one_sweep_records_one_data_pass_and_interprets_nothing() {
+    let dag = example("canny_s");
+    for threads in [1, 2] {
+        let collector = Arc::new(Collector::new());
+        let res =
+            imagen_obs::with_collector(&collector, || sweep(&dag, MeasureMode::default(), threads));
+        assert_eq!(res.points.len(), 256);
+        assert_eq!(count(&collector, "dse.data_trace"), 1, "threads {threads}");
+        assert_eq!(count(&collector, "program.run"), 0, "threads {threads}");
+        // Worker threads report into the caller's collector.
+        assert_eq!(
+            count(&collector, "dse.point.price"),
+            256,
+            "threads {threads}"
+        );
+        assert_eq!(
+            count(&collector, "dse.point.measure"),
+            256,
+            "threads {threads}"
+        );
+        assert_eq!(count(&collector, "power.measure"), 512, "threads {threads}");
+    }
+}

@@ -58,5 +58,6 @@ pub use metrics::{
     Counter, Gauge, HistSnapshot, Histogram, Metrics, MetricsSnapshot, SNAPSHOT_SCHEMA,
 };
 pub use trace::{
-    collector_installed, span, with_collector, Collector, PhaseTotal, SpanGuard, SpanRecord,
+    collector_installed, current_collector, span, with_collector, Collector, PhaseTotal, SpanGuard,
+    SpanRecord,
 };

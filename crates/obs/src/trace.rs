@@ -193,6 +193,13 @@ pub fn with_collector<R>(collector: &Arc<Collector>, f: impl FnOnce() -> R) -> R
     f()
 }
 
+/// The collector installed on the current thread, if any — what a
+/// caller hands to the worker threads it spawns ([`with_collector`]) so
+/// their spans land in the same profile.
+pub fn current_collector() -> Option<Arc<Collector>> {
+    COLLECTOR.with(|c| c.borrow().clone())
+}
+
 /// Whether a collector is installed on the current thread. Lets
 /// callers skip building expensive span metadata when tracing is off.
 pub fn collector_installed() -> bool {

@@ -132,6 +132,7 @@ pub fn measure_at(
     trace: &ActivityTrace,
     clock_mhz: f64,
 ) -> EnergyReport {
+    let _s = imagen_obs::span("power.measure");
     let pixel = net.widths.pixel_bits as u64;
     let word_bits = design.geometry.pixel_bits;
 

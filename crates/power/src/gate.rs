@@ -33,27 +33,11 @@
 
 use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist};
 
-/// Attaches a clock-gating plan to `net`: every line buffer's read port
-/// is gated to the union of its consumers' ILP windows.
-///
-/// The returned netlist is a full copy with:
-///
-/// * `gating` set to the derived [`GatingPlan`];
-/// * a 1-bit `ren_lb_<stage>` net, driven by a continuous assignment of
-///   the window comparators, declared in the top module;
-/// * the line-buffer instance's `ren` connection rewritten from the
-///   constant `1'b1` to that net,
-///
-/// so emission, interpretation and structural verification all see the
-/// same gated hardware. FIFO buffers (SODA) and pure-DFF buffers are
-/// left ungated — their clocking is dataflow-driven, not scheduled.
-///
-/// Gating an already-gated netlist re-derives the same plan (the pass
-/// is idempotent).
-pub fn gate_clocks(net: &Netlist) -> Netlist {
-    let mut out = net.clone();
-    let frame = net.frame;
-
+/// Derives the clock-gating plan of `net`: every line buffer's read port
+/// is gated to the union of its consumers' ILP windows. FIFO buffers
+/// (SODA) and pure-DFF buffers stay ungated — their clocking is
+/// dataflow-driven, not scheduled.
+pub fn gating_plan(net: &Netlist) -> GatingPlan {
     let mut gates: Vec<BufferGate> = Vec::new();
     for (bi, buf) in net.buffers.iter().enumerate() {
         if buf.fifo || buf.phys_blocks == 0 {
@@ -71,13 +55,40 @@ pub fn gate_clocks(net: &Netlist) -> Netlist {
         gates.push(BufferGate {
             buffer: bi,
             read_start: *windows.iter().min().expect("non-empty"),
-            read_end: windows.iter().max().expect("non-empty") + frame,
+            read_end: windows.iter().max().expect("non-empty") + net.frame,
         });
     }
+    GatingPlan { gates }
+}
 
+/// Attaches a clock-gating plan to `net`: every line buffer's read port
+/// is gated to the union of its consumers' ILP windows
+/// ([`gating_plan`]).
+///
+/// The returned netlist is a full copy with:
+///
+/// * `gating` set to the derived [`GatingPlan`];
+/// * a 1-bit `ren_lb_<stage>` net, driven by a continuous assignment of
+///   the window comparators, declared in the top module;
+/// * the line-buffer instance's `ren` connection rewritten from the
+///   constant `1'b1` to that net,
+///
+/// so emission, interpretation and structural verification all see the
+/// same gated hardware.
+///
+/// Gating an already-gated netlist re-derives the same plan (the pass
+/// is idempotent).
+pub fn gate_clocks(net: &Netlist) -> Netlist {
+    gate_clocks_with(net, gating_plan(net))
+}
+
+/// [`gate_clocks`] with an explicit plan — the hardware the plan
+/// describes, right or wrong.
+pub(crate) fn gate_clocks_with(net: &Netlist, plan: GatingPlan) -> Netlist {
+    let mut out = net.clone();
     let top = out.top;
     let module = &mut out.modules[top];
-    for g in &gates {
+    for g in &plan.gates {
         let pname = net.stages[net.buffers[g.buffer].stage].sanitized.clone();
         let gate_net = format!("ren_lb_{pname}");
         if module.net(&gate_net).is_none() {
@@ -106,6 +117,6 @@ pub fn gate_clocks(net: &Netlist) -> Netlist {
         }
     }
 
-    out.gating = Some(GatingPlan { gates });
+    out.gating = Some(plan);
     out
 }

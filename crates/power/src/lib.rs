@@ -31,7 +31,12 @@
 //!   interpreter counts the gated-off cycles, so the energy saving is
 //!   measured, not asserted;
 //! * [`measure_pipeline`] / [`measure_netlist`] run both netlists on one
-//!   frame and return the paired reports ([`PowerMeasurement`]).
+//!   frame and return the paired reports ([`PowerMeasurement`]);
+//! * [`measure_design_point`] returns the same two energies for one point
+//!   of a design-space sweep, repricing a
+//!   [`DataTrace`] recorded once per sweep instead
+//!   of interpreting both netlists whenever the point passes the
+//!   structure-pass guard.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -42,12 +47,15 @@ mod energy;
 mod gate;
 
 pub use energy::{measure, measure_at, BufferEnergy, EnergyReport};
-pub use gate::gate_clocks;
+pub use gate::{gate_clocks, gating_plan};
+
+use gate::gate_clocks_with;
 
 use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
-    build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, Netlist,
+    build_netlist, interpret_with_trace, BitWidths, DataTrace, GatingPlan, InterpError,
+    InterpReport, Netlist,
 };
 use imagen_sim::Image;
 
@@ -102,9 +110,18 @@ pub fn measure_netlist(
     design: &Design,
     inputs: &[Image],
 ) -> Result<PowerMeasurement, InterpError> {
-    let gated = gate_clocks(net);
+    measure_pair(net, &gate_clocks(net), design, inputs)
+}
+
+/// [`measure_netlist`] against an explicitly gated variant `gated`.
+fn measure_pair(
+    net: &Netlist,
+    gated: &Netlist,
+    design: &Design,
+    inputs: &[Image],
+) -> Result<PowerMeasurement, InterpError> {
     let (ungated_report, ungated_trace) = interpret_with_trace(net, inputs)?;
-    let (gated_report, gated_trace) = interpret_with_trace(&gated, inputs)?;
+    let (gated_report, gated_trace) = interpret_with_trace(gated, inputs)?;
     for ((sa, ia), (sb, ib)) in ungated_report
         .output_images
         .iter()
@@ -115,9 +132,68 @@ pub fn measure_netlist(
     }
     Ok(PowerMeasurement {
         ungated: measure(net, design, &ungated_trace),
-        gated: measure(&gated, design, &gated_trace),
+        gated: measure(gated, design, &gated_trace),
         ungated_report,
         gated_report,
+    })
+}
+
+/// Measured ungated and clock-gated energy of one design point.
+#[derive(Clone, Debug)]
+pub struct PointEnergy {
+    /// Energy of the ungated netlist.
+    pub ungated: EnergyReport,
+    /// Energy of the netlist under the gating plan.
+    pub gated: EnergyReport,
+    /// Read-port cycles the gating plan removed.
+    pub gated_off_cycles: u64,
+}
+
+/// Measures `net` (which must be ungated) and `net` under `gating` on
+/// `inputs`: bit for bit the energies [`measure_netlist`] reports when
+/// `gating` is [`gating_plan`]`(net)`.
+///
+/// With `data` recorded for `net`'s datapath on these `inputs`, a point
+/// that passes the structure-pass guard for both variants
+/// ([`DataTrace::structure_trace`]) is measured without interpreting
+/// either netlist. Every other point — no data trace, a multirate or
+/// non-streamable schedule, or a gate window that zeroes a consumed
+/// load — interprets both, exactly as [`measure_netlist`] does,
+/// including its gated ≡ ungated output assertion.
+///
+/// # Errors
+///
+/// [`InterpError`] for structural interpretation problems.
+///
+/// # Panics
+///
+/// On the interpreting path, if gating changes any output pixel.
+pub fn measure_design_point(
+    net: &Netlist,
+    gating: &GatingPlan,
+    design: &Design,
+    inputs: &[Image],
+    data: Option<&DataTrace>,
+) -> Result<PointEnergy, InterpError> {
+    if let Some(data) = data {
+        if let Some(ungated) = data.structure_trace(net, None)? {
+            if let Some(gated) = data.structure_trace(net, Some(gating))? {
+                // Pricing reads the datapath widths and kernels, which
+                // gating leaves untouched: `net` prices both traces.
+                let gated = measure(net, design, &gated);
+                return Ok(PointEnergy {
+                    ungated: measure(net, design, &ungated),
+                    gated_off_cycles: gated.gated_off_cycles,
+                    gated,
+                });
+            }
+        }
+    }
+    let pm = measure_pair(net, &gate_clocks_with(net, gating.clone()), design, inputs)?;
+    Ok(PointEnergy {
+        gated_off_cycles: pm.gated_off_cycles(),
+        ungated: pm.ungated,
+        gated: pm.gated,
     })
 }
 

@@ -28,7 +28,7 @@
 use crate::netlist::Netlist;
 
 /// Per-line-buffer activity over one interpreted frame.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct BufferActivity {
     /// Producer stage index owning the buffer.
     pub stage: usize,
@@ -80,7 +80,7 @@ impl BufferActivity {
 }
 
 /// Per-stage activity over one interpreted frame.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StageActivity {
     /// Cycles the stage enable was asserted (= frame pixels for a
     /// stall-free schedule).
@@ -103,7 +103,7 @@ impl StageActivity {
 }
 
 /// Per-window-register-array (SRA) activity over one interpreted frame.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SraActivity {
     /// Cycles the array shifted (= the consumer's active cycles).
     pub shift_cycles: u64,
@@ -117,7 +117,7 @@ pub struct SraActivity {
 /// Activity collected over one interpreted frame, structurally parallel
 /// to the interpreted [`Netlist`]: `buffers[i]` ↔ `net.buffers[i]`,
 /// `stages[i]` ↔ `net.stages[i]`, `sras[i]` ↔ `net.edges[i]`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ActivityTrace {
     /// Clock edges of the run.
     pub run_cycles: u64,

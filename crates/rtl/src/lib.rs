@@ -66,7 +66,7 @@ pub use netlist::{
     Item, LineBufPayload, Module, ModuleKind, Net, NetBuffer, NetEdge, NetStage, Netlist,
     StagePayload,
 };
-pub use program::EvalProgram;
+pub use program::{DataTrace, EvalProgram};
 pub use resources::{report_resources, report_resources_for, ResourceReport};
 pub use testbench::{generate_testbench, TestVectors};
 pub use verify::{verify_all, verify_structure, RtlError, RtlReport, RtlSummary};

@@ -33,6 +33,27 @@
 //!   the load stream), and per-block SRAM read/write/peak counters come
 //!   from an event sweep over spans where every participant's row,
 //!   bank segment and gate state are constant;
+//! * **data pass / structure pass** — the traced run splits along what
+//!   its quantities depend on. The *data pass* ([`DataTrace::record`])
+//!   depends only on the datapath (kernels, windows, widths, geometry)
+//!   and the stimulus: the dense stage images, the output-register
+//!   toggle total of every stage, and the chained toggle sums of every
+//!   load stream, keyed by *(producer stage, row offset `lag + j`)*,
+//!   with the last cycles' per-cycle toggles kept for the
+//!   retirement-tail term of the delay-line identity. The *structure
+//!   pass* ([`DataTrace::structure_trace`]) depends only on the
+//!   schedule and the memory organisation: start cycles, bank layout
+//!   and gate windows feed the block sweep and the closed forms, and the
+//!   SRA toggles are reassembled from the cached sums at each edge's
+//!   window height and SRA width. It evaluates no tape and allocates no
+//!   image, so a design-space sweep pays for the data pass once and for
+//!   the structure pass per point. A point takes the structure pass only
+//!   under a guard proved for that point: its datapath equals the
+//!   recorded one, its schedule is streamable, every stage is rate-1,
+//!   and every gate window covers each consumer's whole row on every row
+//!   it reads (so no load is zeroed and the gated pixels equal the
+//!   ungated ones). Any other point returns `None` and goes through the
+//!   full traced run;
 //! * **multirate strided stepping** — pipelines with `downsample`/
 //!   `upsample` stages keep the frame-at-a-time streaming order but run
 //!   each stage over its *own* grid (`W/cx × H/cy`), stepping taps
@@ -58,14 +79,22 @@
 //! suite (`crates/rtl/tests/program_differential.rs`) checks report,
 //! images and the full [`ActivityTrace`] field-for-field against the
 //! legacy path on the whole algorithm corpus at both width regimes,
-//! gated and ungated.
+//! gated and ungated. The structure pass is pinned the same way against
+//! [`crate::interpret_with_trace`] on every point of every example sweep
+//! (`crates/dse/tests/measure_once.rs`).
+//!
+//! [`DataTrace::record`]: crate::DataTrace::record
+//! [`DataTrace::structure_trace`]: crate::DataTrace::structure_trace
 
 use crate::activity::ActivityTrace;
 use crate::interp::{trunc, InterpError, InterpReport};
-use crate::netlist::{sra_columns, ModuleKind, NetBuffer, Netlist};
+use crate::netlist::{sra_columns, GatingPlan, ModuleKind, NetBuffer, Netlist};
 use imagen_ir::{BinOp, CmpOp, Expr};
 use imagen_sim::Image;
 use std::collections::HashMap;
+
+mod data_trace;
+pub use data_trace::DataTrace;
 
 /// Column-tile width of the vectorized tape evaluator: one bytecode
 /// dispatch covers this many raster columns, and the per-op inner loops
@@ -744,6 +773,19 @@ impl EvalProgram {
     /// performs up front).
     pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
         let _s = imagen_obs::span("program.build");
+        EvalProgram::lower(net, net.gating.as_ref(), true)
+    }
+
+    /// Lowers `net` under the clock-gating plan `gating` (`net.gating` is
+    /// not consulted). With `tapes == false` only the structure is
+    /// lowered — schedule, edges, buffer metadata and closed forms — for
+    /// the structure pass: kernels stay unlinearized and no fallback copy
+    /// is kept, so such a program must never be executed.
+    pub(crate) fn lower(
+        net: &Netlist,
+        gating: Option<&GatingPlan>,
+        tapes: bool,
+    ) -> Result<EvalProgram, InterpError> {
         let geom = net.geometry;
         let (w, h) = (geom.width as i64, geom.height as i64);
         let frame = net.frame;
@@ -763,8 +805,7 @@ impl EvalProgram {
         // path).
         let gates: Vec<Option<(u64, u64)>> = (0..net.buffers.len())
             .map(|i| {
-                net.gating
-                    .as_ref()
+                gating
                     .and_then(|g| g.gate_for(i))
                     .filter(|_| !net.buffers[i].fifo)
                     .map(|g| (g.read_start, g.read_end))
@@ -900,7 +941,7 @@ impl EvalProgram {
                 other => unreachable!("stage module of wrong kind: {other:?}"),
             });
             let tape = match kernel {
-                Some(k) => {
+                Some(k) if tapes => {
                     let mut tb = TapeBuilder::default();
                     let root = tb.lower(k, &|slot, dx, dy| {
                         let le = &edges[edge_range.start + slot_local[slot]];
@@ -914,7 +955,7 @@ impl EvalProgram {
                     });
                     tb.finish(root)
                 }
-                None => Tape::default(),
+                _ => Tape::default(),
             };
             max_regs = max_regs.max(tape.ops.len());
 
@@ -1022,7 +1063,7 @@ impl EvalProgram {
             scale_of,
             multirate,
             streamable,
-            fallback: (!streamable || multirate).then(|| Box::new(net.clone())),
+            fallback: (tapes && (!streamable || multirate)).then(|| Box::new(net.clone())),
         })
     }
 
@@ -1032,6 +1073,7 @@ impl EvalProgram {
     ///
     /// [`InterpError`] on input count/geometry mismatch.
     pub fn run(&self, inputs: &[Image]) -> Result<InterpReport, InterpError> {
+        let _s = imagen_obs::span("program.run");
         if !self.streamable {
             let net = self.fallback.as_ref().expect("fallback netlist kept");
             return crate::interp::interpret_legacy(net, inputs);
@@ -1040,8 +1082,7 @@ impl EvalProgram {
         if self.multirate {
             return Ok(self.exec_multirate(inputs));
         }
-        let mut tr = TraceAcc::empty();
-        Ok(self.exec::<false>(inputs, &mut tr))
+        Ok(self.report(&self.stage_images(inputs)))
     }
 
     /// Executes one frame, additionally collecting an [`ActivityTrace`]
@@ -1054,18 +1095,27 @@ impl EvalProgram {
         &self,
         inputs: &[Image],
     ) -> Result<(InterpReport, ActivityTrace), InterpError> {
+        let _s = imagen_obs::span("program.run");
         if !self.streamable || self.multirate {
             let net = self.fallback.as_ref().expect("fallback netlist kept");
             return crate::interp::interpret_with_trace_legacy(net, inputs);
         }
         self.check_inputs(inputs)?;
+        let images = self.stage_images(inputs);
         let mut tr = TraceAcc::for_program(self);
-        let report = self.exec::<true>(inputs, &mut tr);
-        let trace = self.assemble_trace(tr);
-        Ok((report, trace))
+        for st in &self.stages {
+            if st.has_module {
+                tr.out_toggles[st.stage] = self.out_toggles(&images[st.stage]);
+            }
+            for (lei, ep) in self.edges[st.edges.clone()].iter().enumerate() {
+                tr.sra_toggles[st.edges.start + lei] = self.edge_bit_toggles(st.start, ep, &images);
+            }
+        }
+        self.block_sweep(&mut tr);
+        Ok((self.report(&images), self.assemble_trace(tr)))
     }
 
-    fn check_inputs(&self, inputs: &[Image]) -> Result<(), InterpError> {
+    pub(crate) fn check_inputs(&self, inputs: &[Image]) -> Result<(), InterpError> {
         if self.n_inputs != inputs.len() {
             return Err(InterpError::InputCount {
                 expected: self.n_inputs,
@@ -1081,15 +1131,15 @@ impl EvalProgram {
         Ok(())
     }
 
-    /// Columns of row `y` of a consumer active since `start` whose loads
-    /// fall inside the gate window: `[en_lo, en_hi)` (the whole row when
-    /// ungated). Loaded values outside it are zero.
     /// Padded row stride of the dense stage images: raster width rounded
     /// up to a whole number of evaluation tiles.
     fn wstride(&self) -> usize {
         (self.w as usize).next_multiple_of(TILE)
     }
 
+    /// Columns of row `y` of a consumer active since `start` whose loads
+    /// fall inside the gate window: `[en_lo, en_hi)` (the whole row when
+    /// ungated). Loaded values outside it are zero.
     fn gate_cols(&self, gate: Option<(u64, u64)>, start: u64, y: usize) -> (usize, usize) {
         let w = self.w as usize;
         match gate {
@@ -1103,10 +1153,11 @@ impl EvalProgram {
         }
     }
 
-    /// The frame-at-a-time executor. Stages stream whole frames in
-    /// start-cycle order into dense images; with `TRACED = true` the
-    /// activity passes run over those images afterwards.
-    fn exec<const TRACED: bool>(&self, inputs: &[Image], tr: &mut TraceAcc) -> InterpReport {
+    /// The frame-at-a-time executor: stages stream whole frames in
+    /// start-cycle order into dense images (rows padded to
+    /// [`EvalProgram::wstride`]), indexed by netlist stage. The activity
+    /// passes and the report read these images afterwards.
+    pub(crate) fn stage_images(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
         let pixel = self.pixel;
         let (w, h) = (self.w as usize, self.h as usize);
         // Rows are stored at a stride padded to a whole number of
@@ -1115,7 +1166,7 @@ impl EvalProgram {
         // reads back (taps satisfy `dx <= 0`).
         let ws = self.wstride();
 
-        let in_rast: Vec<Vec<i64>> = inputs
+        let mut in_rast: Vec<Vec<i64>> = inputs
             .iter()
             .map(|img| {
                 let mut r = vec![0i64; h * ws];
@@ -1129,48 +1180,30 @@ impl EvalProgram {
             })
             .collect();
 
-        // Dense per-stage output images, indexed by netlist stage.
         let mut images: Vec<Vec<i64>> = vec![Vec::new(); self.n_net_stages];
         // Shared workspaces across stages.
         let mut regs = vec![0i64; self.max_regs * TILE];
         let mut scratch: Vec<Vec<i64>> = Vec::new();
 
         for st in &self.stages {
-            let img = match st.input {
-                Some(k) => in_rast[k].clone(),
+            images[st.stage] = match st.input {
+                // Each input stream feeds exactly one stage.
+                Some(k) => std::mem::take(&mut in_rast[k]),
                 None => {
                     let mut out = vec![0i64; h * ws];
                     self.eval_stage(st, &images, &mut out, &mut regs, &mut scratch);
                     out
                 }
             };
-            if TRACED {
-                if st.has_module {
-                    // Adjacent-pair form of the toggle chain (vectorizes).
-                    let mut tg = 0u64;
-                    let mut prev = 0i64;
-                    for y in 0..h {
-                        let row = &img[y * ws..y * ws + w];
-                        tg += toggles(prev, row[0], pixel);
-                        tg += row
-                            .windows(2)
-                            .map(|p| toggles(p[0], p[1], pixel))
-                            .sum::<u64>();
-                        prev = row[w - 1];
-                    }
-                    tr.out_toggles[st.stage] = tg;
-                }
-                for (lei, ep) in self.edges[st.edges.clone()].iter().enumerate() {
-                    tr.sra_toggles[st.edges.start + lei] =
-                        self.edge_bit_toggles(st.start, ep, &images);
-                }
-            }
-            images[st.stage] = img;
         }
+        images
+    }
 
-        if TRACED {
-            self.block_sweep(tr);
-        }
+    /// The interpreter report of a rate-1 run: output streams cut from
+    /// the dense images, totals from the compile-time closed forms.
+    fn report(&self, images: &[Vec<i64>]) -> InterpReport {
+        let (w, h) = (self.w as usize, self.h as usize);
+        let ws = self.wstride();
         let output_images = self
             .outputs
             .iter()
@@ -1195,6 +1228,26 @@ impl EvalProgram {
             sram_writes: self.sram_writes,
             gated_off_cycles: self.gated_off_cycles,
         }
+    }
+
+    /// Output-register bit toggles of one stage: the chain of
+    /// consecutive values of its output stream, from a zero reset.
+    pub(crate) fn out_toggles(&self, img: &[i64]) -> u64 {
+        let (w, h) = (self.w as usize, self.h as usize);
+        let ws = self.wstride();
+        // Adjacent-pair form of the toggle chain (vectorizes).
+        let mut tg = 0u64;
+        let mut prev = 0i64;
+        for y in 0..h {
+            let row = &img[y * ws..y * ws + w];
+            tg += toggles(prev, row[0], self.pixel);
+            tg += row
+                .windows(2)
+                .map(|p| toggles(p[0], p[1], self.pixel))
+                .sum::<u64>();
+            prev = row[w - 1];
+        }
+        tg
     }
 
     /// The multirate strided executor: frame-at-a-time streaming in
@@ -1237,28 +1290,25 @@ impl EvalProgram {
                         let yb = yc * ccy;
                         for xc in 0..cw {
                             let xb = xc * ccx;
-                            let root =
-                                eval_scalar(&st.tape, &mut regs, sh, &mut |vrow, dx| {
-                                    let vrow = vrow as usize;
-                                    let ep = edges
-                                        .iter()
-                                        .find(|e| {
-                                            vrow >= e.vrow_base && vrow < e.vrow_base + e.height
-                                        })
-                                        .expect("tap vrow maps to an edge window");
-                                    let j = (vrow - ep.vrow_base) as u64;
-                                    let (pcx, pcy) = self.scale_of[ep.prod_stage];
-                                    let (pw, ph) = (w / pcx, h / pcy);
-                                    let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
-                                    let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
-                                    if let Some((gs, ge)) = ep.gate {
-                                        let t = st.start + yb * w + col * pcx;
-                                        if t < gs || t >= ge {
-                                            return 0;
-                                        }
+                            let root = eval_scalar(&st.tape, &mut regs, sh, &mut |vrow, dx| {
+                                let vrow = vrow as usize;
+                                let ep = edges
+                                    .iter()
+                                    .find(|e| vrow >= e.vrow_base && vrow < e.vrow_base + e.height)
+                                    .expect("tap vrow maps to an edge window");
+                                let j = (vrow - ep.vrow_base) as u64;
+                                let (pcx, pcy) = self.scale_of[ep.prod_stage];
+                                let (pw, ph) = (w / pcx, h / pcy);
+                                let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
+                                let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
+                                if let Some((gs, ge)) = ep.gate {
+                                    let t = st.start + yb * w + col * pcx;
+                                    if t < gs || t >= ge {
+                                        return 0;
                                     }
-                                    images[ep.prod_stage][(row * pw + col) as usize]
-                                });
+                                }
+                                images[ep.prod_stage][(row * pw + col) as usize]
+                            });
                             out[(yc * cw + xc) as usize] = trunc(root, pixel);
                         }
                     }
@@ -1452,9 +1502,9 @@ impl EvalProgram {
             let mut rcnt = vec![0u32; nb.phys_blocks];
             let mut wcnt = vec![0u32; nb.phys_blocks];
             let mut touched: Vec<usize> = Vec::new();
-            // Merged unique window rows per phase class: (column phase,
-            // rows).
-            let mut classes: Vec<(u64, Vec<u64>)> = Vec::new();
+            // Merged unique reads of one span: (column phase, row). Loads
+            // merge only within a phase class (identical column).
+            let mut reads: Vec<(u64, u64)> = Vec::new();
 
             // Position of a participant active since `start` at cycle
             // `t`, shrinking the span end `se` to the next boundary at
@@ -1481,7 +1531,7 @@ impl EvalProgram {
             while t < tend {
                 let mut se = tend;
                 let writer_at = span_for(ws, t, &mut se);
-                let mut live: Vec<(u64, u64, u32, u64)> = Vec::new();
+                reads.clear();
                 for &(rs, lag, height, gate) in rd {
                     let pos = span_for(rs, t, &mut se);
                     let mut enabled = true;
@@ -1497,39 +1547,22 @@ impl EvalProgram {
                     }
                     if let Some((y, x)) = pos {
                         if enabled {
-                            live.push((x, y, lag, height));
+                            reads.extend((0..height).map(|j| (x, (y + lag as u64 + j).min(h - 1))));
                         }
                     }
                 }
                 let len = se - t;
 
-                // Per-cycle counts for this span: merged unique rows per
-                // phase class, then the write.
-                classes.clear();
-                for &(x, y, lag, height) in &live {
-                    let ci = match classes.iter().position(|(cx, _)| *cx == x) {
-                        Some(i) => i,
-                        None => {
-                            classes.push((x, Vec::new()));
-                            classes.len() - 1
+                // Per-cycle counts for this span: merged unique reads,
+                // then the write.
+                reads.sort_unstable();
+                reads.dedup();
+                for &(x, r) in &reads {
+                    if let Some(b) = nb.block_of(r, x as u32, self.geom_pixel_bits) {
+                        if rcnt[b] == 0 && wcnt[b] == 0 {
+                            touched.push(b);
                         }
-                    };
-                    let class = &mut classes[ci].1;
-                    for j in 0..height {
-                        let r = (y + lag as u64 + j).min(h - 1);
-                        if !class.contains(&r) {
-                            class.push(r);
-                        }
-                    }
-                }
-                for (x, rows) in &classes {
-                    for &r in rows {
-                        if let Some(b) = nb.block_of(r, *x as u32, self.geom_pixel_bits) {
-                            if rcnt[b] == 0 && wcnt[b] == 0 {
-                                touched.push(b);
-                            }
-                            rcnt[b] += 1;
-                        }
+                        rcnt[b] += 1;
                     }
                 }
                 if let Some((y, x)) = writer_at {
@@ -1622,8 +1655,7 @@ fn toggles(old: i64, new: i64, bits: u32) -> u64 {
     (((old ^ new) as u64) & mask).count_ones() as u64
 }
 
-/// Per-run activity accumulators for the traced instantiation. The
-/// untraced loop carries an empty one that is never touched.
+/// Per-run activity accumulators of a traced run or a structure pass.
 struct TraceAcc {
     /// Bit toggles per edge program (sorted-stage edge order).
     sra_toggles: Vec<u64>,
@@ -1635,16 +1667,6 @@ struct TraceAcc {
 }
 
 impl TraceAcc {
-    fn empty() -> TraceAcc {
-        TraceAcc {
-            sra_toggles: Vec::new(),
-            out_toggles: Vec::new(),
-            block_reads: Vec::new(),
-            block_writes: Vec::new(),
-            block_peaks: Vec::new(),
-        }
-    }
-
     fn for_program(p: &EvalProgram) -> TraceAcc {
         TraceAcc {
             sra_toggles: vec![0; p.edges.len()],

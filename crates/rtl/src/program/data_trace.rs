@@ -1,0 +1,292 @@
+//! Measure once, reprice per point: the data pass and the structure pass
+//! of a traced run (see the parent module docs).
+//!
+//! A design-space sweep interprets many netlists that share one datapath
+//! — the same kernels, windows and widths on the same stimulus — and
+//! differ only in schedule, bank organisation and gate windows. The
+//! data-dependent half of a traced run is therefore identical at every
+//! point. [`DataTrace::record`] runs it once; [`DataTrace::structure_trace`]
+//! reassembles each point's full [`ActivityTrace`] from it without
+//! evaluating a kernel.
+
+use super::{EdgeProg, EvalProgram, TraceAcc};
+use crate::activity::ActivityTrace;
+use crate::interp::InterpError;
+use crate::netlist::{GatingPlan, ModuleKind, Netlist};
+use imagen_ir::{Expr, Window};
+use imagen_sim::Image;
+use std::collections::HashMap;
+
+/// Chained toggle sums of one load stream: the raster-order sequence of
+/// words a window row at row offset `k` loads from its producer,
+/// `image[min(y + k, h - 1)][x]`.
+#[derive(Debug)]
+struct LoadSums {
+    /// Bit toggles between consecutive loads over the whole frame,
+    /// starting from a zero reset.
+    total: u64,
+    /// Per-cycle toggles of the frame's last `tail.len()` loads — the
+    /// retirement tail, whose loads leave the array before crossing all
+    /// of its columns.
+    tail: Vec<u32>,
+}
+
+/// The datapath a [`DataTrace`] was recorded from: everything the stage
+/// images depend on besides the stimulus. A point whose netlist matches
+/// it computes the same images, whatever its schedule or memories.
+#[derive(Debug)]
+struct Datapath {
+    width: u32,
+    height: u32,
+    pixel_bits: u32,
+    acc_bits: u32,
+    /// Per netlist stage: input stream, and kernel of compute stages.
+    stages: Vec<(Option<usize>, Option<Expr>)>,
+    /// Per netlist edge: producer, consumer, kernel slot and window.
+    edges: Vec<(usize, usize, usize, Window)>,
+}
+
+/// The kernel of a netlist stage's compute module, if it has one.
+fn kernel_of(net: &Netlist, module: Option<usize>) -> Option<&Expr> {
+    module.map(|m| match &net.modules[m].kind {
+        ModuleKind::Stage(p) => &p.kernel,
+        other => unreachable!("stage module of wrong kind: {other:?}"),
+    })
+}
+
+impl Datapath {
+    fn of(net: &Netlist) -> Datapath {
+        Datapath {
+            width: net.geometry.width,
+            height: net.geometry.height,
+            pixel_bits: net.widths.pixel_bits,
+            acc_bits: net.widths.acc_bits,
+            stages: net
+                .stages
+                .iter()
+                .map(|s| (s.input_stream, kernel_of(net, s.module).cloned()))
+                .collect(),
+            edges: net
+                .edges
+                .iter()
+                .map(|e| (e.producer, e.consumer, e.slot, e.window))
+                .collect(),
+        }
+    }
+
+    fn matches(&self, net: &Netlist) -> bool {
+        self.width == net.geometry.width
+            && self.height == net.geometry.height
+            && self.pixel_bits == net.widths.pixel_bits
+            && self.acc_bits == net.widths.acc_bits
+            && self.stages.len() == net.stages.len()
+            && self
+                .stages
+                .iter()
+                .zip(&net.stages)
+                .all(|((input, kernel), s)| {
+                    *input == s.input_stream && kernel.as_ref() == kernel_of(net, s.module)
+                })
+            && self.edges.len() == net.edges.len()
+            && self
+                .edges
+                .iter()
+                .zip(&net.edges)
+                .all(|(&(p, c, slot, window), e)| {
+                    (p, c, slot, window) == (e.producer, e.consumer, e.slot, e.window)
+                })
+    }
+}
+
+/// The data pass of a traced run, recorded once for one datapath on one
+/// stimulus: the output-register toggle total of every stage and the
+/// chained toggle sums of every load stream, keyed by *(producer stage,
+/// row offset)* rather than by netlist edge, so the sums stay valid when
+/// coalescing rewrites a point's read ports.
+///
+/// Hold one for the duration of a sweep and reprice every point with
+/// [`DataTrace::structure_trace`]. It is immutable, so worker threads
+/// share it by reference.
+#[derive(Debug)]
+pub struct DataTrace {
+    datapath: Datapath,
+    frame: u64,
+    /// Output-register toggles per netlist stage (0 for input stages).
+    out_toggles: Vec<u64>,
+    loads: HashMap<(usize, u32), LoadSums>,
+}
+
+impl DataTrace {
+    /// Runs the data pass of `net`'s datapath on `inputs` — one untraced
+    /// frame, ignoring `net`'s clock gating — and keeps the sums the
+    /// structure pass needs.
+    ///
+    /// Returns `Ok(None)` when the data pass cannot stand for the traced
+    /// run: a schedule that violates the streaming margins, or a
+    /// multirate pipeline.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpError`] on a missing line buffer or on input count or
+    /// geometry mismatch.
+    pub fn record(net: &Netlist, inputs: &[Image]) -> Result<Option<DataTrace>, InterpError> {
+        if net.stages.iter().any(|s| s.is_multirate()) {
+            return Ok(None);
+        }
+        let prog = EvalProgram::lower(net, None, true)?;
+        if !prog.streamable || prog.multirate {
+            return Ok(None);
+        }
+        prog.check_inputs(inputs)?;
+        let images = prog.stage_images(inputs);
+        let mut out_toggles = vec![0; prog.n_net_stages];
+        for st in prog.stages.iter().filter(|st| st.has_module) {
+            out_toggles[st.stage] = prog.out_toggles(&images[st.stage]);
+        }
+        // The widest array's tail covers every narrower one.
+        let tail = prog
+            .edges
+            .iter()
+            .map(|e| e.width as u64 - 1)
+            .max()
+            .unwrap_or(0)
+            .min(prog.frame) as usize;
+        let mut loads = HashMap::new();
+        for ep in &prog.edges {
+            for j in 0..ep.height as u32 {
+                let k = ep.lag + j;
+                loads
+                    .entry((ep.prod_stage, k))
+                    .or_insert_with(|| prog.load_sums(&images[ep.prod_stage], k, tail));
+            }
+        }
+        Ok(Some(DataTrace {
+            datapath: Datapath::of(net),
+            frame: prog.frame,
+            out_toggles,
+            loads,
+        }))
+    }
+
+    /// The structure pass: the [`ActivityTrace`] that
+    /// [`crate::interpret_with_trace`] returns for `net` with the
+    /// clock-gating plan `gating` attached (`net.gating` is not
+    /// consulted), assembled from the recorded sums plus `net`'s
+    /// schedule and memories — no kernel is evaluated.
+    ///
+    /// Returns `Ok(None)` unless the guard holds for this point: `net`'s
+    /// datapath equals the recorded one, its schedule is streamable,
+    /// every stage is rate-1, and no gate window zeroes a consumed load.
+    /// Under the guard the point's stage images are the recorded ones,
+    /// gated or not, so the trace is identical field for field.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpError::MissingBuffer`] when a windowed producer owns no
+    /// line buffer.
+    pub fn structure_trace(
+        &self,
+        net: &Netlist,
+        gating: Option<&GatingPlan>,
+    ) -> Result<Option<ActivityTrace>, InterpError> {
+        if !self.datapath.matches(net) {
+            return Ok(None);
+        }
+        let prog = EvalProgram::lower(net, gating, false)?;
+        if !prog.streamable || prog.multirate || !prog.gates_cover_loads() {
+            return Ok(None);
+        }
+        let mut tr = TraceAcc::for_program(&prog);
+        for st in &prog.stages {
+            if st.has_module {
+                tr.out_toggles[st.stage] = self.out_toggles[st.stage];
+            }
+            for (lei, ep) in prog.edges[st.edges.clone()].iter().enumerate() {
+                match self.edge_bit_toggles(ep) {
+                    Some(t) => tr.sra_toggles[st.edges.start + lei] = t,
+                    None => return Ok(None),
+                }
+            }
+        }
+        prog.block_sweep(&mut tr);
+        Ok(Some(prog.assemble_trace(tr)))
+    }
+
+    /// [`EvalProgram::edge_bit_toggles`] of an edge none of whose loads
+    /// is gated off, from the cached sums: `Σ_u T(u) · min(width,
+    /// frame - u)` per window row, with every load but the tail's weighted
+    /// by the full array width. `None` if a row offset or a tail this
+    /// long was not recorded.
+    fn edge_bit_toggles(&self, ep: &EdgeProg) -> Option<u64> {
+        let width = ep.width as u64;
+        let n_tail = (width - 1).min(self.frame) as usize;
+        let mut total = 0u64;
+        for j in 0..ep.height as u32 {
+            let sums = self.loads.get(&(ep.prod_stage, ep.lag + j))?;
+            let tail = &sums.tail[sums.tail.len().checked_sub(n_tail)?..];
+            let head = sums.total - tail.iter().map(|&t| t as u64).sum::<u64>();
+            total += head * width;
+            // The load `i` cycles into the tail shifts through
+            // `n_tail - i` columns before the frame ends.
+            total += tail
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| t as u64 * (n_tail - i) as u64)
+                .sum::<u64>();
+        }
+        Some(total)
+    }
+}
+
+impl EvalProgram {
+    /// Guard fact three: every gate window covers each consumer's whole
+    /// row on every row it reads, so no load is zeroed.
+    fn gates_cover_loads(&self) -> bool {
+        let w = self.w as usize;
+        self.stages.iter().all(|st| {
+            self.edges[st.edges.clone()].iter().all(|ep| {
+                (0..self.h as usize).all(|y| self.gate_cols(ep.gate, st.start, y) == (0, w))
+            })
+        })
+    }
+
+    /// The chained toggle sums of the load stream at row offset `k` of
+    /// the dense image `prod`, keeping the last `tail` per-cycle toggles.
+    fn load_sums(&self, prod: &[i64], k: u32, tail: usize) -> LoadSums {
+        let (w, h) = (self.w as usize, self.h as usize);
+        let ws = self.wstride();
+        let mask = if self.pixel >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.pixel) - 1
+        };
+        let tg = |a: i64, b: i64| (((a ^ b) as u64) & mask).count_ones();
+        let tail_start = self.frame as usize - tail;
+        let mut sums = LoadSums {
+            total: 0,
+            tail: Vec::with_capacity(tail),
+        };
+        let mut prev = 0i64;
+        for y in 0..h {
+            let r = (y + k as usize).min(h - 1);
+            let row = &prod[r * ws..r * ws + w];
+            if (y + 1) * w <= tail_start {
+                // Adjacent-pair form of the chain (vectorizes).
+                sums.total += tg(prev, row[0]) as u64;
+                sums.total += row.windows(2).map(|p| tg(p[0], p[1]) as u64).sum::<u64>();
+            } else {
+                let mut p = prev;
+                for (x, &v) in row.iter().enumerate() {
+                    let t = tg(p, v);
+                    p = v;
+                    sums.total += t as u64;
+                    if y * w + x >= tail_start {
+                        sums.tail.push(t);
+                    }
+                }
+            }
+            prev = row[w - 1];
+        }
+        sums
+    }
+}
