@@ -606,7 +606,14 @@ impl Dag {
         origin: Origin,
         window_overrides: &[(usize, Window)],
     ) -> Result<StageId, IrError> {
-        self.add_stage_rated_full(name, producers, kernel, Rate::Unit, origin, window_overrides)
+        self.add_stage_rated_full(
+            name,
+            producers,
+            kernel,
+            Rate::Unit,
+            origin,
+            window_overrides,
+        )
     }
 
     /// The full constructor: explicit rate, origin and window overrides.
@@ -659,7 +666,7 @@ impl Dag {
                 Rate::Unit => base,
                 Rate::Down { .. } => (base.0 * fx as u64, base.1 * fy as u64),
                 Rate::Up { .. } => {
-                    if base.0 % fx as u64 != 0 || base.1 % fy as u64 != 0 {
+                    if !base.0.is_multiple_of(fx as u64) || !base.1.is_multiple_of(fy as u64) {
                         return Err(IrError::UpsampleAboveBase { stage: name });
                     }
                     (base.0 / fx as u64, base.1 / fy as u64)
@@ -780,11 +787,7 @@ impl Dag {
     pub fn stage_scales(&self) -> Vec<(u64, u64)> {
         let mut scales = vec![(1u64, 1u64); self.stages.len()];
         for (i, s) in self.stages.iter().enumerate() {
-            let base = s
-                .producers
-                .first()
-                .map(|p| scales[p.0])
-                .unwrap_or((1, 1));
+            let base = s.producers.first().map(|p| scales[p.0]).unwrap_or((1, 1));
             let (fx, fy) = s.rate.factors();
             scales[i] = match s.rate {
                 Rate::Unit => base,
@@ -1492,11 +1495,10 @@ mod tests {
         }
         // A down-chain whose cumulative scale overflows the bound errors
         // instead of wrapping.
-        let big = Rate::Down {
-            fx: 1 << 12,
-            fy: 1,
-        };
-        let a = dag.add_stage_rated("A", &[k0], Expr::tap(0, 0, 0), big).unwrap();
+        let big = Rate::Down { fx: 1 << 12, fy: 1 };
+        let a = dag
+            .add_stage_rated("A", &[k0], Expr::tap(0, 0, 0), big)
+            .unwrap();
         let err = dag
             .add_stage_rated("B", &[a], Expr::tap(0, 0, 0), big)
             .unwrap_err();

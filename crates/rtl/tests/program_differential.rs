@@ -247,7 +247,11 @@ fn program_matches_legacy_on_pyramid() {
     ] {
         let net = build_netlist(&plan.dag, &plan.design, &widths);
         differential(&format!("pyramid {wname} ungated"), &net, &inputs);
-        differential(&format!("pyramid {wname} gated"), &gate_clocks(&net), &inputs);
+        differential(
+            &format!("pyramid {wname} gated"),
+            &gate_clocks(&net),
+            &inputs,
+        );
     }
 }
 

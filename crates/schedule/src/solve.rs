@@ -174,7 +174,14 @@ pub fn solve_schedule(
             if subproblems > opts.max_subproblems {
                 return Err(ScheduleError::TooManySubproblems(opts.max_subproblems));
             }
-            match solve_leaf(dag, &periods, &set.hard, &chosen, opts.objective, &mut report) {
+            match solve_leaf(
+                dag,
+                &periods,
+                &set.hard,
+                &chosen,
+                opts.objective,
+                &mut report,
+            ) {
                 Ok((obj, starts)) => {
                     if best.as_ref().is_none_or(|(b, _)| obj < *b) {
                         best = Some((obj, starts));
@@ -340,8 +347,7 @@ pub fn size_buffers(dag: &Dag, width: u32, starts: &[i64]) -> (Vec<u32>, u64) {
         let mut q = 1i64;
         for (_, e) in dag.consumer_edges(p) {
             let extra = (w - periods[e.consumer().index()]).max(0);
-            let d = starts[e.consumer().index()] - starts[p.index()]
-                - e.window().lag as i64 * w
+            let d = starts[e.consumer().index()] - starts[p.index()] - e.window().lag as i64 * w
                 + extra;
             debug_assert!(d >= 1, "dependency constraints guarantee d >= 1");
             q = q.max((d + w - 1).div_euclid(w));
