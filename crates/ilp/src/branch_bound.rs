@@ -1,14 +1,18 @@
-//! Branch-and-bound integer optimization on top of the rational simplex.
+//! Branch-and-bound integer optimization on top of the exact simplex.
 //!
 //! For the scheduling ILPs generated by ImaGen the constraint matrix is a
 //! difference system (totally unimodular), so the LP relaxation is already
-//! integral and branch-and-bound terminates at the root node. The general
+//! integral and branch-and-bound terminates at the root node, which solves
+//! the model itself (no clone) over the `i64` tableau. The general
 //! machinery is still exercised by the exact-rows objective
 //! (`imagen-schedule`'s `Objective::TotalRows`) and by the test suite.
 
 use crate::model::{Model, Sense, VarId};
 use crate::simplex::{solve_lp, Solution, SolveError};
 use crate::Rational;
+
+/// A branching bound: variable, optional new lower, optional new upper.
+type NodeBound = (VarId, Option<i64>, Option<i64>);
 
 /// Default node budget for [`Model::solve`].
 pub const DEFAULT_NODE_LIMIT: usize = 200_000;
@@ -52,14 +56,12 @@ impl Model {
         &self,
         node_limit: usize,
     ) -> Result<(Solution, SolveStats), SolveError> {
-        // Work on a clone whose bounds we are free to tighten per node.
-        let base = self.clone();
         let minimize = matches!(self.sense, Sense::Minimize);
 
         // A node is a set of additional variable bounds.
         #[derive(Clone)]
         struct Node {
-            bounds: Vec<(VarId, Option<i64>, Option<i64>)>,
+            bounds: Vec<NodeBound>,
         }
 
         let mut stack = vec![Node { bounds: Vec::new() }];
@@ -72,45 +74,22 @@ impl Model {
             }
             stats.nodes += 1;
 
-            let mut sub = base.clone();
-            let mut bad = false;
-            for &(v, lo, hi) in &node.bounds {
-                let cur_lo = sub.vars[v.index()].lower;
-                let cur_hi = sub.vars[v.index()].upper;
-                let new_lo = match lo {
-                    Some(l) => {
-                        let l = Rational::from(l);
-                        if l > cur_lo {
-                            l
-                        } else {
-                            cur_lo
-                        }
+            // The root solves the model itself; every other node a clone
+            // with its branching bounds tightened.
+            let tightened;
+            let sub = if node.bounds.is_empty() {
+                self
+            } else {
+                match self.with_node_bounds(&node.bounds) {
+                    Some(m) => {
+                        tightened = m;
+                        &tightened
                     }
-                    None => cur_lo,
-                };
-                let new_hi = match (hi, cur_hi) {
-                    (Some(h), Some(c)) => Some(if Rational::from(h) < c {
-                        Rational::from(h)
-                    } else {
-                        c
-                    }),
-                    (Some(h), None) => Some(Rational::from(h)),
-                    (None, c) => c,
-                };
-                if let Some(h) = new_hi {
-                    if new_lo > h {
-                        bad = true;
-                        break;
-                    }
+                    None => continue,
                 }
-                sub.vars[v.index()].lower = new_lo;
-                sub.vars[v.index()].upper = new_hi;
-            }
-            if bad {
-                continue;
-            }
+            };
 
-            let relax = match solve_lp(&sub) {
+            let relax = match solve_lp(sub) {
                 Ok(s) => s,
                 Err(SolveError::Infeasible) => continue,
                 Err(e) => return Err(e),
@@ -131,8 +110,8 @@ impl Model {
             }
 
             // Find a fractional integer variable.
-            let frac = (0..base.vars.len())
-                .find(|&i| base.vars[i].integer && !relax.values[i].is_integer());
+            let frac = (0..self.vars.len())
+                .find(|&i| self.vars[i].integer && !relax.values[i].is_integer());
 
             match frac {
                 None => {
@@ -143,10 +122,18 @@ impl Model {
                 Some(i) => {
                     let v = VarId(i);
                     let val = relax.values[i];
-                    let fl = val.floor() as i64;
+                    // Node bounds are i64; a wrapping cast here would
+                    // branch on a garbage bound.
+                    let floor = val.floor();
+                    let (fl, ceil) = i64::try_from(floor)
+                        .ok()
+                        .and_then(|fl| Some((fl, fl.checked_add(1)?)))
+                        .unwrap_or_else(|| {
+                            panic!("branching value {val} (floor {floor}) does not fit in an i64")
+                        });
                     // Explore "round down" first (DFS): push "up" below it.
                     let mut up = node.clone();
-                    up.bounds.push((v, Some(fl + 1), None));
+                    up.bounds.push((v, Some(ceil), None));
                     let mut down = node;
                     down.bounds.push((v, None, Some(fl)));
                     stack.push(up);
@@ -159,6 +146,44 @@ impl Model {
             Some(s) => Ok((s, stats)),
             None => Err(SolveError::Infeasible),
         }
+    }
+
+    /// A clone with the branching `bounds` tightened onto its variables,
+    /// or `None` when they leave some variable an empty range.
+    fn with_node_bounds(&self, bounds: &[NodeBound]) -> Option<Model> {
+        let mut sub = self.clone();
+        for &(v, lo, hi) in bounds {
+            let cur_lo = sub.vars[v.index()].lower;
+            let cur_hi = sub.vars[v.index()].upper;
+            let new_lo = match lo {
+                Some(l) => {
+                    let l = Rational::from(l);
+                    if l > cur_lo {
+                        l
+                    } else {
+                        cur_lo
+                    }
+                }
+                None => cur_lo,
+            };
+            let new_hi = match (hi, cur_hi) {
+                (Some(h), Some(c)) => Some(if Rational::from(h) < c {
+                    Rational::from(h)
+                } else {
+                    c
+                }),
+                (Some(h), None) => Some(Rational::from(h)),
+                (None, c) => c,
+            };
+            if let Some(h) = new_hi {
+                if new_lo > h {
+                    return None;
+                }
+            }
+            sub.vars[v.index()].lower = new_lo;
+            sub.vars[v.index()].upper = new_hi;
+        }
+        Some(sub)
     }
 }
 
@@ -260,6 +285,18 @@ mod tests {
             Err(SolveError::NodeLimit(0))
         ));
         assert_eq!(m.solve().unwrap_err(), SolveError::Infeasible);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in an i64")]
+    fn branching_past_i64_panics() {
+        // 2x == 2^65 + 1: the relaxation puts x at 2^64 + 1/2, whose
+        // floor has no i64 bound to branch on.
+        let mut m = Model::new("t");
+        let x = m.add_int_var("x");
+        m.add_constraint(LinExpr::from(x) * 2, Cmp::Eq, (1i128 << 65) + 1, "big");
+        m.set_objective(Sense::Minimize, LinExpr::from(x));
+        let _ = m.solve();
     }
 
     #[test]

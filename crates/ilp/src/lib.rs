@@ -9,7 +9,12 @@
 //!
 //! * [`Rational`] — exact rational arithmetic on `i128`;
 //! * [`Model`] — a mixed-integer model builder with [`LinExpr`] expressions;
-//! * a two-phase primal **simplex** over rationals ([`Model::solve_lp`]);
+//! * a two-phase primal **simplex** ([`Model::solve_lp`]) over one dense
+//!   tableau and Bland's rule, exact either way: over checked `i64` when
+//!   the model is an integral network model (every row at most one `+1`
+//!   and one `−1`, as all of ImaGen's schedule ILPs are), whose totally
+//!   unimodular matrix keeps every tableau entry in {−1, 0, 1}, and over
+//!   [`Rational`] otherwise — both take the same pivots;
 //! * **branch and bound** on top ([`Model::solve`]) — for the
 //!   totally-unimodular difference systems ImaGen emits, the relaxation is
 //!   already integral and the search terminates at the root node;

@@ -1,10 +1,11 @@
 //! Exact rational arithmetic on `i128`.
 //!
-//! The simplex solver in this crate works over exact rationals so that
-//! optimality and integrality decisions are never subject to floating-point
-//! noise. Values are kept normalized (reduced by their gcd, denominator
-//! strictly positive), which keeps intermediate magnitudes small for the
-//! near-totally-unimodular systems produced by the ImaGen scheduler.
+//! The simplex solver in this crate works over exact rationals (or, for
+//! network models, exact `i64`) so that optimality and integrality
+//! decisions are never subject to floating-point noise. Values are kept
+//! normalized (reduced by their gcd, denominator strictly positive), which
+//! keeps intermediate magnitudes small for the general models that take
+//! the rational tableau.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -3,9 +3,10 @@
 //! The simplex pivot is the unit of work the whole optimizer bottoms
 //! out in, so profilers (DSE `--profile`, the serve stats endpoint)
 //! want a running pivot count without threading a handle through every
-//! `Model::solve` call. A single relaxed atomic does it: each pivot is
-//! O(m·n) exact-rational row operations, so the added `fetch_add` is
-//! noise. Readers take deltas (`pivot_count()` before/after); with
+//! `Model::solve` call. A single relaxed atomic does it: each pivot
+//! scans the pivot column of all m rows and updates every touched row
+//! over the pivot row's nonzero columns (exact `i64` or rational
+//! operations), so the added `fetch_add` is noise. Readers take deltas (`pivot_count()` before/after); with
 //! concurrent solves a delta covers *all* solver activity in the
 //! window, which is the useful number for profiling anyway.
 

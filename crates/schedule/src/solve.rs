@@ -328,7 +328,9 @@ fn solve_leaf(
     let obj = sol
         .objective_value()
         .to_integer()
-        .expect("integral objective") as i64;
+        .expect("integral objective");
+    let obj = i64::try_from(obj)
+        .unwrap_or_else(|_| panic!("schedule objective {obj} does not fit in an i64"));
     Ok((obj, starts))
 }
 
