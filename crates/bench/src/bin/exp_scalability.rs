@@ -1,7 +1,7 @@
 //! Reproduces the **Sec. 8.2 scalability sweep**: compile time for
 //! synthetic pipelines from 9 to 60 stages, a third of which have
 //! multiple consumers (paper: 8.7 ms at 9 stages, 8.1 s at 60 stages
-//! with OR-Tools; our exact rational solver scales similarly in shape).
+//! with OR-Tools; our exact simplex scales similarly in shape).
 //!
 //! Compiles run through a memoized [`Session`]: the cold column is the
 //! full compile (skeleton + contention + ILP + pricing + RTL), the warm
