@@ -5,10 +5,13 @@
 //! evaluation program (`crates/rtl/src/program.rs`) and streams frames
 //! through it; `interpret_legacy` re-walks the netlist graph every
 //! clock edge. This binary measures both paths — untraced, traced, and
-//! clock-gated traced — on every Tbl. 3 pipeline at the acceptance
-//! geometry (120×80 @ 16 bpp; smoke mode shrinks it for CI), plus the
-//! one-time program compile cost, and prints per-pipeline speedups with
-//! a geometric-mean summary. The two engines are pinned bit-identical
+//! clock-gated traced — on every Tbl. 3 pipeline and on the two
+//! multirate pyramids (`examples/gaussian_pyramid.imagen`,
+//! `examples/laplacian_pyramid.imagen`, whose traced runs take the
+//! per-stage-grid activity passes) at the acceptance geometry (120×80 @
+//! 16 bpp; smoke mode shrinks it for CI), plus the one-time program
+//! compile cost, and prints per-pipeline speedups with a geometric-mean
+//! summary. The two engines are pinned bit-identical
 //! by `crates/rtl/tests/program_differential.rs`; this binary reports
 //! only the wall-clock side of that bargain.
 //!
@@ -17,7 +20,7 @@
 
 use imagen_algos::{noise_bits, Algorithm};
 use imagen_bench::smoke_mode;
-use imagen_core::Compiler;
+use imagen_core::{CompileOutput, Compiler};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
 use imagen_rtl::{
@@ -25,6 +28,18 @@ use imagen_rtl::{
 };
 use imagen_sim::Image;
 use std::time::Instant;
+
+/// The multirate example pipelines, by name and DSL source.
+const PYRAMIDS: [(&str, &str); 2] = [
+    (
+        "gauss_pyr",
+        include_str!("../../../../examples/gaussian_pyramid.imagen"),
+    ),
+    (
+        "lapl_pyr",
+        include_str!("../../../../examples/laplacian_pyramid.imagen"),
+    ),
+];
 
 /// Best-of-`reps` wall clock in milliseconds.
 fn best_ms(reps: u32, mut f: impl FnMut()) -> f64 {
@@ -60,11 +75,17 @@ fn main() {
         "pipeline", "untraced", "traced", "gated traced", "compile ms"
     );
 
+    let compiler = Compiler::new(geom, MemorySpec::new(MemBackend::asic_default(), 2));
+    let mut pipelines: Vec<(&str, CompileOutput)> = Algorithm::all()
+        .into_iter()
+        .map(|alg| (alg.name(), compiler.compile_dag(&alg.build()).unwrap()))
+        .collect();
+    for (name, src) in PYRAMIDS {
+        pipelines.push((name, compiler.compile_source(name, src).unwrap()));
+    }
+
     let mut ratios: Vec<f64> = Vec::new();
-    for alg in Algorithm::all() {
-        let dag = alg.build();
-        let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-        let out = Compiler::new(geom, spec).compile_dag(&dag).unwrap();
+    for (name, out) in &pipelines {
         let net = build_netlist(&out.plan.dag, &out.plan.design, &BitWidths::default());
         let gated = gate_clocks(&net);
         let inputs: Vec<Image> = (0..net.input_streams().len())
@@ -103,7 +124,7 @@ fn main() {
         ratios.extend([l_u / p_u, l_t / p_t, l_g / p_g]);
         println!(
             "{:<10} {:>7.3}->{:>5.3} {:>4.1}x {:>7.3}->{:>5.3} {:>4.1}x {:>7.3}->{:>5.3} {:>4.1}x {:>12.4}",
-            alg.name(),
+            name,
             l_u,
             p_u,
             l_u / p_u,

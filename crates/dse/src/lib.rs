@@ -293,10 +293,13 @@ pub enum ExploreStrategy {
 /// measured point. Each point then pays only for its structure pass
 /// (block sweep, closed forms, and the sums reassembled at its window
 /// sizes), for its ungated and its clock-gated netlist alike, and prices
-/// both traces. Points outside the structure pass's guard — multirate
-/// pipelines such as the pyramids, or any schedule whose gate windows
-/// would zero a load — are interpreted in full, ungated and gated.
-/// Both routes give bit-identical [`MeasuredEnergy`].
+/// both traces. Multirate pipelines such as the pyramids take the same
+/// route: their data pass runs on each stage's own grid and their
+/// structure pass counts every access on its stage's cadence. Points
+/// outside the structure pass's guard — a schedule that violates the
+/// streaming margins, or gate windows that would zero a load — are
+/// interpreted in full, ungated and gated. Both routes give
+/// bit-identical [`MeasuredEnergy`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MeasureMode {
     /// Measure every point's netlist (ungated and clock-gated) on
@@ -512,8 +515,9 @@ fn evaluate_masks(
 /// datapath on the shared stimulus), which lives for this call only and
 /// is shared by reference across the worker threads; every point is then
 /// measured by its structure pass, ungated and clock-gated, without
-/// interpreting a netlist. Points outside the structure pass's guard
-/// (see [`MeasureMode`]) are interpreted in full. Either way each
+/// interpreting a netlist — rate-1 and multirate pipelines alike. Points
+/// outside the structure pass's guard (see [`MeasureMode`]) are
+/// interpreted in full. Either way each
 /// [`DsePoint::measured`] is bit-identical to
 /// `imagen_power::measure_netlist` on that point's netlist.
 ///

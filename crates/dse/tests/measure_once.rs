@@ -1,19 +1,23 @@
 //! Measure once, reprice per point: the structure pass against the full
 //! traced interpretation.
 //!
-//! * Every `examples/*.imagen` sweep and randomly generated DAG sweeps,
-//!   under two stimuli and at 1 and 4 worker threads, measure every point
-//!   bit for bit as `imagen_power::measure_netlist` does, and the
-//!   structure pass reproduces `interpret_with_trace`'s activity trace
-//!   field for field, ungated and clock-gated.
-//! * Points outside the guard take the interpreting path: multirate
-//!   sweeps, and a partially gated (corrupted) gate window — which must
-//!   still trip the gated ≡ ungated output assertion.
-//! * A rate-1 sweep records its data pass once and interprets nothing.
+//! * Every `examples/*.imagen` sweep (the multirate pyramids included)
+//!   and randomly generated DAG sweeps (some with a `downsample(2,2)` /
+//!   `upsample(2,2)` pair), under two stimuli and at 1 and 4 worker
+//!   threads, measure every point bit for bit as
+//!   `imagen_power::measure_netlist` does, every sweep records a data
+//!   trace, and the structure pass reproduces `interpret_with_trace`'s
+//!   activity trace field for field, ungated and clock-gated.
+//! * Points outside the guard take the interpreting path: a partially
+//!   gated (corrupted) gate window — which must still trip the gated ≡
+//!   ungated output assertion — and a datapath whose rate scales differ
+//!   from the recorded one.
+//! * A rate-1 sweep and a pyramid sweep each record their data pass once
+//!   and interpret nothing.
 
 use imagen_core::Session;
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
-use imagen_ir::{BinOp, CmpOp, Dag, Expr};
+use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_obs::Collector;
 use imagen_power::{gate_clocks, gating_plan, measure_design_point, measure_netlist};
@@ -137,13 +141,9 @@ fn check_sweeps(name: &str, dag: &Dag) {
                 data = DataTrace::record(&net, &inputs).expect("record");
             }
             let tag = format!("{name} {mode:?} point {mask}");
-            let Some(data) = &data else {
-                assert!(
-                    dag.is_multirate(),
-                    "{tag}: rate-1 sweeps record a data trace"
-                );
-                continue;
-            };
+            let data = data
+                .as_ref()
+                .unwrap_or_else(|| panic!("{tag}: every sweep records a data trace"));
             let (_, want) = interpret_with_trace(&net, &inputs).expect("ungated trace");
             let got = data.structure_trace(&net, None).expect("structure pass");
             assert_eq!(got.as_ref(), Some(&want), "{tag}: ungated trace");
@@ -253,14 +253,41 @@ fn rand_expr(state: &mut u64, depth: u32, slots: u64) -> Expr {
 }
 
 /// A random pipeline of `n_stages` compute stages; a stage sometimes also
-/// reads the input, giving the input buffer several consumers.
+/// reads the input, giving the input buffer several consumers. Half the
+/// pipelines splice in a `downsample(2,2)` stage and, later, a matching
+/// `upsample(2,2)` stage; stages between them run on the half-rate grid
+/// and read only their predecessor (producers share one scale). The
+/// resampling stages draw from their own stream, so the rate-1 stages
+/// are the same as without them.
 fn rand_dag(seed: u64, n_stages: usize) -> Dag {
     let mut state = seed;
+    let mut rates = seed ^ 0x05EE_D0F4_A7E5;
     let mut dag = Dag::new("fuzz");
     let input = dag.add_input("K0");
     let mut prev = input;
-    for i in 0..n_stages {
-        let producers = if i > 0 && next(&mut state).is_multiple_of(2) {
+    let span = n_stages as u64 + 1;
+    let down = next(&mut rates)
+        .is_multiple_of(2)
+        .then(|| next(&mut rates) % span);
+    let up = down.map(|d| d + next(&mut rates) % (span - d));
+    let mut coarse = false;
+    for i in 0..=n_stages {
+        for (at, name, rate) in [
+            (down, "down", Rate::Down { fx: 2, fy: 2 }),
+            (up, "up", Rate::Up { fx: 2, fy: 2 }),
+        ] {
+            if at == Some(i as u64) {
+                let expr = Expr::bin(BinOp::Add, Expr::tap(0, 0, 0), rand_expr(&mut rates, 2, 1));
+                prev = dag
+                    .add_stage_rated(name, &[prev], expr, rate)
+                    .expect("valid resampling stage");
+                coarse = !coarse;
+            }
+        }
+        if i == n_stages {
+            break;
+        }
+        let producers = if i > 0 && next(&mut state).is_multiple_of(2) && !coarse {
             vec![prev, input]
         } else {
             vec![prev]
@@ -296,20 +323,120 @@ fn count(c: &Collector, name: &str) -> usize {
     c.spans().iter().filter(|s| s.name == name).count()
 }
 
-#[test]
-fn multirate_sweeps_take_the_reference_path() {
-    let dag = example("gaussian_pyramid");
-    assert!(dag.is_multirate());
-    let collector = Arc::new(Collector::new());
-    let res = imagen_obs::with_collector(&collector, || sweep(&dag, MeasureMode::default(), 1));
-    // Every point interprets its ungated and its gated netlist.
-    assert_eq!(count(&collector, "program.run"), 2 * res.points.len());
-    assert_eq!(count(&collector, "dse.point.measure"), res.points.len());
+/// `example(name)` with every `downsample(..)`/`upsample(..)` modifier
+/// removed: the same kernels and windows, all at rate 1.
+fn rate_one_variant(name: &str) -> Dag {
+    let path = format!(
+        "{}/../../examples/{name}.imagen",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let src = src
+        .replace("downsample(2,2) ", "")
+        .replace("upsample(2,2) ", "");
+    imagen_dsl::compile(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
 
-    let session = Session::new(&dag, geom());
-    let (net, _) = point_netlist(&session, &res, 0);
-    let inputs = stimulus(&dag, MeasureMode::default());
-    assert!(DataTrace::record(&net, &inputs).unwrap().is_none());
+#[test]
+fn data_trace_refuses_a_datapath_at_other_rates() {
+    let pyramid = example("gaussian_pyramid");
+    let flat = rate_one_variant("gaussian_pyramid");
+    assert!(pyramid.is_multirate() && !flat.is_multirate());
+    let res = sweep(&pyramid, MeasureMode::Off, 1);
+    let (pyr_net, _) = point_netlist(&Session::new(&pyramid, geom()), &res, 0);
+    let res = sweep(&flat, MeasureMode::Off, 1);
+    let (flat_net, _) = point_netlist(&Session::new(&flat, geom()), &res, 0);
+    // Same kernels, same windows: only the rate scales differ.
+    let datapath = |net: &Netlist| {
+        net.edges
+            .iter()
+            .map(|e| (e.producer, e.consumer, e.slot, e.window))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(datapath(&pyr_net), datapath(&flat_net));
+    assert_eq!(pyr_net.stages.len(), flat_net.stages.len());
+
+    let inputs = stimulus(&pyramid, MeasureMode::default());
+    let pyr_data = DataTrace::record(&pyr_net, &inputs)
+        .unwrap()
+        .expect("pyramid data trace");
+    let flat_data = DataTrace::record(&flat_net, &inputs)
+        .unwrap()
+        .expect("rate-1 data trace");
+    assert!(pyr_data.structure_trace(&pyr_net, None).unwrap().is_some());
+    assert!(pyr_data.structure_trace(&flat_net, None).unwrap().is_none());
+    assert!(flat_data
+        .structure_trace(&flat_net, None)
+        .unwrap()
+        .is_some());
+    assert!(flat_data.structure_trace(&pyr_net, None).unwrap().is_none());
+}
+
+/// The guard's gate-coverage fact against brute force: with each of the
+/// pyramids' gate windows delayed or cut short by up to two rows, the
+/// structure pass answers exactly when every edge-active load cycle of
+/// the buffer lies inside its window, and its answer then equals the
+/// traced interpretation under that plan.
+#[test]
+fn guard_accepts_exactly_the_windows_that_cover_every_load() {
+    let (w, h) = (geom().width as u64, geom().height as u64);
+    for name in ["gaussian_pyramid", "laplacian_pyramid"] {
+        let dag = example(name);
+        let res = sweep(&dag, MeasureMode::Off, 1);
+        let (net, _) = point_netlist(&Session::new(&dag, geom()), &res, 0);
+        let inputs = stimulus(&dag, MeasureMode::default());
+        let data = DataTrace::record(&net, &inputs)
+            .unwrap()
+            .expect("pyramid data trace");
+        let plan = gating_plan(&net);
+        assert!(data.structure_trace(&net, Some(&plan)).unwrap().is_some());
+        let gated = gate_clocks(&net);
+        // Edge-active load cycles of buffer `b`: every consumer row `y %
+        // ccy == 0`, every producer column `x % pcx == 0`.
+        let loads = |b: usize| -> Vec<u64> {
+            let producer = net.buffers[b].stage;
+            let pcx = net.stages[producer].scale_x as usize;
+            net.edges
+                .iter()
+                .filter(|e| e.producer == producer)
+                .flat_map(|e| {
+                    let c = &net.stages[e.consumer];
+                    (0..h).step_by(c.scale_y as usize).flat_map(move |y| {
+                        (0..w).step_by(pcx).map(move |x| c.start_cycle + y * w + x)
+                    })
+                })
+                .collect()
+        };
+        let (mut accepted, mut refused) = (0, 0);
+        for gi in 0..plan.gates.len() {
+            let cycles = loads(plan.gates[gi].buffer);
+            for delta in 1..=2 * w + 2 {
+                for delay in [false, true] {
+                    let mut variant = plan.clone();
+                    let g = &mut variant.gates[gi];
+                    if delay {
+                        g.read_start = (g.read_start + delta).min(g.read_end);
+                    } else {
+                        g.read_end = g.read_end.saturating_sub(delta).max(g.read_start);
+                    }
+                    let covered = cycles.iter().all(|&t| g.enabled_at(t));
+                    let tag = format!("{name} gate {gi} delta {delta} delay {delay}");
+                    let got = data.structure_trace(&net, Some(&variant)).unwrap();
+                    assert_eq!(got.is_some(), covered, "{tag}: guard");
+                    let Some(got) = got else {
+                        refused += 1;
+                        continue;
+                    };
+                    accepted += 1;
+                    let mut under = gated.clone();
+                    under.gating = Some(variant);
+                    let (_, want) = interpret_with_trace(&under, &inputs).unwrap();
+                    assert_eq!(got, want, "{tag}: trace");
+                }
+            }
+        }
+        assert!(accepted > 0 && refused > 0, "{name}: {accepted}/{refused}");
+    }
 }
 
 #[test]
@@ -363,27 +490,52 @@ fn corrupted_gate_window_takes_the_reference_path_and_trips_the_assertion() {
     );
 }
 
-#[test]
-fn rate_one_sweep_records_one_data_pass_and_interprets_nothing() {
-    let dag = example("canny_s");
+/// Sweeps `name` at 1 and 2 threads and checks it records one data pass,
+/// interprets nothing, and reports every per-point span.
+fn check_one_data_pass(name: &str, points: usize) {
+    let dag = example(name);
     for threads in [1, 2] {
         let collector = Arc::new(Collector::new());
         let res =
             imagen_obs::with_collector(&collector, || sweep(&dag, MeasureMode::default(), threads));
-        assert_eq!(res.points.len(), 256);
-        assert_eq!(count(&collector, "dse.data_trace"), 1, "threads {threads}");
-        assert_eq!(count(&collector, "program.run"), 0, "threads {threads}");
+        let n = res.points.len();
+        assert_eq!(n, points, "{name}");
+        assert_eq!(
+            count(&collector, "dse.data_trace"),
+            1,
+            "{name} threads {threads}"
+        );
+        assert_eq!(
+            count(&collector, "program.run"),
+            0,
+            "{name} threads {threads}"
+        );
         // Worker threads report into the caller's collector.
         assert_eq!(
             count(&collector, "dse.point.price"),
-            256,
-            "threads {threads}"
+            n,
+            "{name} threads {threads}"
         );
         assert_eq!(
             count(&collector, "dse.point.measure"),
-            256,
-            "threads {threads}"
+            n,
+            "{name} threads {threads}"
         );
-        assert_eq!(count(&collector, "power.measure"), 512, "threads {threads}");
+        assert_eq!(
+            count(&collector, "power.measure"),
+            2 * n,
+            "{name} threads {threads}"
+        );
     }
+}
+
+#[test]
+fn rate_one_sweep_records_one_data_pass_and_interprets_nothing() {
+    check_one_data_pass("canny_s", 256);
+}
+
+#[test]
+fn pyramid_sweep_records_one_data_pass_and_interprets_nothing() {
+    assert!(example("gaussian_pyramid").is_multirate());
+    check_one_data_pass("gaussian_pyramid", 16);
 }

@@ -156,7 +156,9 @@ pub struct PointEnergy {
 /// With `data` recorded for `net`'s datapath on these `inputs`, a point
 /// that passes the structure-pass guard for both variants
 /// ([`DataTrace::structure_trace`]) is measured without interpreting
-/// either netlist. Every other point — no data trace, a multirate or
+/// either netlist, whether its stages run at rate 1 or on resampled
+/// grids. Every other point — no data trace, a datapath (kernels,
+/// windows, widths or rate scales) other than the recorded one, a
 /// non-streamable schedule, or a gate window that zeroes a consumed
 /// load — interprets both, exactly as [`measure_netlist`] does,
 /// including its gated ≡ ungated output assertion.

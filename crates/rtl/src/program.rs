@@ -35,52 +35,60 @@
 //!   bank segment and gate state are constant;
 //! * **data pass / structure pass** — the traced run splits along what
 //!   its quantities depend on. The *data pass* ([`DataTrace::record`])
-//!   depends only on the datapath (kernels, windows, widths, geometry)
-//!   and the stimulus: the dense stage images, the output-register
-//!   toggle total of every stage, and the chained toggle sums of every
-//!   load stream, keyed by *(producer stage, row offset `lag + j`)*,
-//!   with the last cycles' per-cycle toggles kept for the
-//!   retirement-tail term of the delay-line identity. The *structure
-//!   pass* ([`DataTrace::structure_trace`]) depends only on the
-//!   schedule and the memory organisation: start cycles, bank layout
+//!   depends only on the datapath (kernels, windows, widths, rate
+//!   scales, geometry) and the stimulus: the dense stage images, the
+//!   output-register toggle total of every stage, and the chained toggle
+//!   sums of every load stream, keyed by *(producer stage, row offset
+//!   `lag + j`, consumer row cadence)*, with the last loads' toggles kept
+//!   for the retirement-tail term of the delay-line identity. The
+//!   *structure pass* ([`DataTrace::structure_trace`]) depends only on
+//!   the schedule and the memory organisation: start cycles, bank layout
 //!   and gate windows feed the block sweep and the closed forms, and the
 //!   SRA toggles are reassembled from the cached sums at each edge's
-//!   window height and SRA width. It evaluates no tape and allocates no
-//!   image, so a design-space sweep pays for the data pass once and for
-//!   the structure pass per point. A point takes the structure pass only
-//!   under a guard proved for that point: its datapath equals the
-//!   recorded one, its schedule is streamable, every stage is rate-1,
-//!   and every gate window covers each consumer's whole row on every row
-//!   it reads (so no load is zeroed and the gated pixels equal the
-//!   ungated ones). Any other point returns `None` and goes through the
-//!   full traced run;
-//! * **multirate strided stepping** — pipelines with `downsample`/
-//!   `upsample` stages keep the frame-at-a-time streaming order but run
-//!   each stage over its *own* grid (`W/cx × H/cy`), stepping taps
-//!   through the producer's grid with the cumulative-scale stride
-//!   (`row = min(⌊y_b/pcy⌋ + lag + j, ph-1)`, `col = max(⌊x_b/pcx⌋ +
-//!   dx, 0)`), which is exactly the value the rate-scheduled SRA holds
-//!   at the stage's compute-enable cycles. The streaming-margin proof
-//!   generalizes with rows re-measured in producer row periods. This
-//!   path evaluates the same tape scalarly; the vectorized tile path
-//!   and its closed forms are reserved for the (common) rate-1 case
-//!   and are byte-for-byte unchanged by the multirate extension.
+//!   window height and SRA width. It evaluates no tape, allocates no
+//!   image and runs no per-pixel or per-cycle loop, so a design-space
+//!   sweep pays for the data pass once and for the structure pass per
+//!   point. A point takes the structure pass only under a guard proved
+//!   for that point: its datapath equals the recorded one, its schedule
+//!   is streamable, and every gate window covers all of each edge's load
+//!   cycles (so no load is zeroed and the gated pixels equal the ungated
+//!   ones). Any other point returns `None` and goes through the full
+//!   traced run;
+//! * **per-stage grids** — pipelines with `downsample`/`upsample` stages
+//!   keep the frame-at-a-time streaming order but run each stage over its
+//!   *own* grid (`W/cx × H/cy`), stepping taps through the producer's
+//!   grid with the cumulative-scale stride (`row = min(⌊y_b/pcy⌋ + lag +
+//!   j, ph-1)`, `col = max(⌊x_b/pcx⌋ + dx, 0)`), which is exactly the
+//!   value the rate-scheduled SRA holds at the stage's compute-enable
+//!   cycles. The streaming-margin proof generalizes with rows re-measured
+//!   in producer row periods. A stage on its producers' grid (every stage
+//!   of a rate-1 pipeline, and e.g. a pyramid's half-rate blur) runs
+//!   through the tile evaluator; a resampling stage evaluates scalarly,
+//!   with each tap's window row resolved to its edge and producer grid
+//!   once per output row. The activity passes are the rate-1 ones on
+//!   these grids, with every count on its cadence: a stage is active on
+//!   base cycles `y % cy == 0 && x % cx == 0`, an edge loads on `y % ccy
+//!   == 0 && x % pcx == 0` (its load stream is `⌈H/ccy⌉ · pw` words
+//!   long), and within a block-sweep span each participant acts on one
+//!   residue class of the buffer's column cadence. Traced and untraced
+//!   multirate runs, and the data and structure passes of a pyramid
+//!   sweep, never touch the reference interpreter;
 //! * **pathology fallback** — a netlist whose schedule violates the
-//!   streaming margins (never produced by the planner, but representable)
-//!   keeps a copy of itself and routes execution through the reference
-//!   interpreter, trading speed for unconditional exactness. Multirate
-//!   netlists also keep the copy: their *traced* runs route through the
-//!   rate-aware reference interpreter (the activity passes assume the
-//!   one-pixel-per-cycle raster), while plain runs use the strided
-//!   scalar path above.
+//!   streaming margins, or whose rate scales do not divide the frame
+//!   (neither is produced by the planner, but both are representable),
+//!   keeps a copy of itself and routes all execution through the
+//!   reference interpreter, trading speed for unconditional exactness.
 //!
 //! The program is *semantics-preserving by construction and pinned by
 //! test*: [`crate::interpret`] routes through it, and the differential
 //! suite (`crates/rtl/tests/program_differential.rs`) checks report,
 //! images and the full [`ActivityTrace`] field-for-field against the
-//! legacy path on the whole algorithm corpus at both width regimes,
-//! gated and ungated. The structure pass is pinned the same way against
-//! [`crate::interpret_with_trace`] on every point of every example sweep
+//! legacy path on the whole algorithm corpus, a pyramid and generated
+//! pipelines (half of them multirate) at both width regimes, gated and
+//! ungated; `tests/activity_golden.rs` pins both against the walker's
+//! frozen traces of the example corpus. The structure pass is pinned the
+//! same way against [`crate::interpret_with_trace`] on every point of
+//! every example sweep, pyramids included
 //! (`crates/dse/tests/measure_once.rs`).
 //!
 //! [`DataTrace::record`]: crate::DataTrace::record
@@ -556,9 +564,9 @@ fn eval_tile(tape: &Tape, regs: &mut [i64], vrows: &[&[i64]], sh: u32, x0: usize
 /// Evaluates a tape for one pixel, fetching taps through `fetch(vrow,
 /// dx)`. Mirrors [`eval_tile`]'s per-op truncation placement exactly
 /// (demanded-exact registers truncate; `Cmp`/`Select`/`Clamp` pass
-/// already-truncated values through). The multirate executor uses this
-/// path: its taps step through the producer grid at a non-unit stride,
-/// which the lane-shifted tile loader cannot express.
+/// already-truncated values through). Resampling stages use this path:
+/// their taps step through the producer grid at a non-unit stride, which
+/// the lane-shifted tile loader cannot express.
 fn eval_scalar(
     tape: &Tape,
     regs: &mut [i64],
@@ -656,7 +664,35 @@ struct EdgeProg {
     /// Read-enable window `[start, end)` of the producer buffer's clock
     /// gate, `None` when ungated.
     gate: Option<(u64, u64)>,
+    /// Producer's cumulative rate scale `(pcx, pcy)`: the edge loads at
+    /// base columns `x % pcx == 0`, producer column `x / pcx`.
+    pscale: (u64, u64),
+    /// Consumer's vertical scale `ccy`: the edge loads on base rows
+    /// `y % ccy == 0`.
+    ccy: u64,
 }
+
+/// One window row of a stage, resolved at build time for the strided
+/// (resampling) path: tap `vrow` reads producer row `min(⌊y_b/pcy⌋ + k,
+/// ph-1)` through edge program `edge`.
+#[derive(Clone, Copy, Debug)]
+struct RowTap {
+    /// Index into [`EvalProgram::edges`].
+    edge: usize,
+    /// Producer row offset `lag + j`.
+    k: u64,
+    /// Producer grid height and image row stride.
+    ph: u64,
+    stride: usize,
+    /// Producer cumulative scale.
+    pcx: u64,
+    pcy: u64,
+}
+
+/// A [`RowTap`] resolved for one output row: producer stage, offset of
+/// the producer row in its image, enabled column range `[lo, hi)`, and
+/// `pcx`.
+type ResolvedRow = (usize, usize, usize, usize, usize);
 
 /// Compiled form of one pipeline stage.
 #[derive(Clone, Debug)]
@@ -676,6 +712,12 @@ struct StageProg {
     tape: Tape,
     /// Virtual rows consumed by the tape (sum of edge window heights).
     n_vrows: usize,
+    /// Whether every producer shares this stage's grid (always at rate
+    /// 1): the stage then runs through the tile evaluator.
+    tiled: bool,
+    /// Virtual row → edge and producer grid, for the strided path (empty
+    /// for structure-only programs).
+    row_taps: Vec<RowTap>,
 }
 
 /// Per-buffer metadata plus the closed-form activity quantities
@@ -686,8 +728,9 @@ struct BufMeta {
     read_enabled_cycles: u64,
     idle_read_cycles: u64,
     gated_off_cycles: u64,
-    /// Columns at which the bank segment changes (only populated when
-    /// `blocks_per_row > 1`), used as span cuts by the block sweep.
+    /// Base-raster columns at which the bank segment of the buffer's own
+    /// grid column changes (only populated when `blocks_per_row > 1`),
+    /// used as span cuts by the block sweep.
     seg_cuts: Vec<u64>,
 }
 
@@ -734,29 +777,36 @@ pub struct EvalProgram {
     gated_off_cycles: u64,
     /// Cumulative rate scale per netlist stage (`(1, 1)` for rate-1).
     scale_of: Vec<(u64, u64)>,
-    /// Whether any stage runs at a non-unit cumulative rate.
-    multirate: bool,
-    /// Whether the schedule satisfies the streaming margins.
+    /// Whether the schedule satisfies the streaming margins (and every
+    /// rate scale divides the frame).
     streamable: bool,
-    /// Reference netlist kept when the streaming executor cannot cover
-    /// every path: schedules that violate the streaming margins (all
-    /// execution falls back to the cycle-accurate interpreter) and
-    /// multirate pipelines (only *traced* runs fall back).
+    /// Reference netlist kept for schedules that violate the streaming
+    /// margins: all their execution falls back to the cycle-accurate
+    /// interpreter.
     fallback: Option<Box<Netlist>>,
 }
 
-/// Total length of `[lo, hi)` clipped against the merged union of
-/// `windows` (each `[start, end)`), used for the closed-form idle-read
-/// accounting.
-fn overlap_with_union(lo: u64, hi: u64, windows: &mut [(u64, u64)]) -> u64 {
-    windows.sort_unstable();
+/// Cycles of `[lo, hi)` in which at least one of `runs` loads, used for
+/// the closed-form idle-read accounting. A run `(phase, start, end)`
+/// loads on the cycles `t ≡ phase (mod step)` of `[start, end)`; runs of
+/// one phase are merged into a union, and phases are disjoint. With
+/// `step == 1` this is the plain clipped union length.
+fn loaded_cycles(lo: u64, hi: u64, runs: &mut [(u64, u64, u64)], step: u64) -> u64 {
+    runs.sort_unstable();
     let mut covered = 0u64;
+    let mut class = None;
     let mut cursor = lo;
-    for &(s, e) in windows.iter() {
+    for &(phase, s, e) in runs.iter() {
+        if class != Some(phase) {
+            class = Some(phase);
+            cursor = lo;
+        }
+        // Cycles `t ≡ phase` in `[0, n)`.
+        let below = |n: u64| n.saturating_sub(phase).div_ceil(step);
         let s = s.max(cursor).min(hi);
         let e = e.min(hi);
         if e > s {
-            covered += e - s;
+            covered += below(e) - below(s);
             cursor = e;
         }
     }
@@ -853,8 +903,11 @@ impl EvalProgram {
         // hand-built netlist that does not falls back to the reference
         // interpreter.
         let scale_of: Vec<(u64, u64)> = net.stages.iter().map(|s| (s.scale_x, s.scale_y)).collect();
-        let multirate = scale_of.iter().any(|&s| s != (1, 1));
-        let mut streamable = true;
+        // Per-stage grids are `W/cx × H/cy`: every scale must divide the
+        // frame, as the planner requires.
+        let mut streamable = scale_of
+            .iter()
+            .all(|&(sx, sy)| (w as u64).is_multiple_of(sx) && (h as u64).is_multiple_of(sy));
         for e in &net.edges {
             let sc = net.stages[e.consumer].start_cycle as i64;
             let sp = net.stages[e.producer].start_cycle as i64;
@@ -883,6 +936,7 @@ impl EvalProgram {
             // kernel taps.
             let mut slot_local: Vec<usize> = Vec::new();
             let mut n_vrows = 0usize;
+            let mut row_taps: Vec<RowTap> = Vec::new();
             for (eidx, e) in net.edges.iter().enumerate() {
                 if e.consumer != si {
                     continue;
@@ -921,6 +975,18 @@ impl EvalProgram {
                     y += ccy;
                 }
                 sram_reads += height as u64 * enabled;
+                let pscale = scale_of[e.producer];
+                if tapes {
+                    row_taps.extend((0..height as u64).map(|j| RowTap {
+                        edge: edges.len(),
+                        k: e.window.lag as u64 + j,
+                        ph: geom.height as u64 / pscale.1,
+                        stride: (geom.width as u64 / pscale.0).next_multiple_of(TILE as u64)
+                            as usize,
+                        pcx: pscale.0,
+                        pcy: pscale.1,
+                    }));
+                }
                 edges.push(EdgeProg {
                     edge: eidx,
                     buf: bufidx,
@@ -930,6 +996,8 @@ impl EvalProgram {
                     lag: e.window.lag,
                     vrow_base: n_vrows,
                     gate,
+                    pscale,
+                    ccy,
                 });
                 n_vrows += height;
             }
@@ -964,9 +1032,13 @@ impl EvalProgram {
                 start: s.start_cycle,
                 input: input_of[si],
                 has_module: s.module.is_some(),
+                tiled: edges[edge_range.clone()]
+                    .iter()
+                    .all(|e| e.pscale == scale_of[si]),
                 edges: edge_range,
                 tape,
                 n_vrows,
+                row_taps,
             });
         }
 
@@ -991,6 +1063,11 @@ impl EvalProgram {
         // gate window (whole run when ungated); a cycle is *idle* when
         // the port is enabled but no consumer edge loads — exactly the
         // legacy `consumed` bookkeeping, folded into interval arithmetic.
+        // An edge loads on its consumer's rows `y % ccy == 0`, at base
+        // cycles congruent to the consumer's start modulo the producer's
+        // column cadence `pcx` (shared by every edge of one buffer), so
+        // the union is taken per residue class; a rate-1 edge's loads
+        // are the whole interval `[cs, cs + frame)`.
         let buffers: Vec<BufMeta> = net
             .buffers
             .iter()
@@ -1002,22 +1079,33 @@ impl EvalProgram {
                     None => (0, end),
                 };
                 let read_enabled_cycles = en_hi - en_lo;
-                let mut consumers: Vec<(u64, u64)> = Vec::new();
+                let pcx = scale_of[nb.stage].0;
+                let mut consumers: Vec<(u64, u64, u64)> = Vec::new();
                 for e in &net.edges {
                     if bufidx_of_stage[e.producer] == Some(i) {
                         let cs = net.stages[e.consumer].start_cycle;
-                        consumers.push((cs, cs + frame));
+                        let ccy = scale_of[e.consumer].1;
+                        if ccy == 1 {
+                            consumers.push((cs % pcx, cs, cs + frame));
+                        } else {
+                            let (gw, gh) = (geom.width as u64, geom.height as u64);
+                            consumers.extend(
+                                (0..gh)
+                                    .step_by(ccy as usize)
+                                    .map(|y| (cs % pcx, cs + y * gw, cs + (y + 1) * gw)),
+                            );
+                        }
                     }
                 }
-                let consumed = overlap_with_union(en_lo, en_hi, &mut consumers);
+                let consumed = loaded_cycles(en_lo, en_hi, &mut consumers, pcx);
                 let mut seg_cuts = Vec::new();
                 if nb.blocks_per_row > 1 {
                     let cap = nb.block_capacity_bits.max(1);
                     let mut prev_seg = 0u64;
-                    for x in 1..geom.width as u64 {
-                        let seg = x * geom.pixel_bits as u64 / cap;
+                    for xg in 1..geom.width as u64 / pcx {
+                        let seg = xg * geom.pixel_bits as u64 / cap;
                         if seg != prev_seg {
-                            seg_cuts.push(x);
+                            seg_cuts.push(xg * pcx);
                             prev_seg = seg;
                         }
                     }
@@ -1061,9 +1149,8 @@ impl EvalProgram {
             sram_writes,
             gated_off_cycles,
             scale_of,
-            multirate,
             streamable,
-            fallback: (tapes && (!streamable || multirate)).then(|| Box::new(net.clone())),
+            fallback: (tapes && !streamable).then(|| Box::new(net.clone())),
         })
     }
 
@@ -1079,9 +1166,6 @@ impl EvalProgram {
             return crate::interp::interpret_legacy(net, inputs);
         }
         self.check_inputs(inputs)?;
-        if self.multirate {
-            return Ok(self.exec_multirate(inputs));
-        }
         Ok(self.report(&self.stage_images(inputs)))
     }
 
@@ -1096,7 +1180,7 @@ impl EvalProgram {
         inputs: &[Image],
     ) -> Result<(InterpReport, ActivityTrace), InterpError> {
         let _s = imagen_obs::span("program.run");
-        if !self.streamable || self.multirate {
+        if !self.streamable {
             let net = self.fallback.as_ref().expect("fallback netlist kept");
             return crate::interp::interpret_with_trace_legacy(net, inputs);
         }
@@ -1105,7 +1189,7 @@ impl EvalProgram {
         let mut tr = TraceAcc::for_program(self);
         for st in &self.stages {
             if st.has_module {
-                tr.out_toggles[st.stage] = self.out_toggles(&images[st.stage]);
+                tr.out_toggles[st.stage] = self.out_toggles(st.stage, &images[st.stage]);
             }
             for (lei, ep) in self.edges[st.edges.clone()].iter().enumerate() {
                 tr.sra_toggles[st.edges.start + lei] = self.edge_bit_toggles(st.start, ep, &images);
@@ -1131,92 +1215,90 @@ impl EvalProgram {
         Ok(())
     }
 
-    /// Padded row stride of the dense stage images: raster width rounded
-    /// up to a whole number of evaluation tiles.
-    fn wstride(&self) -> usize {
-        (self.w as usize).next_multiple_of(TILE)
+    /// The grid of netlist stage `stage`'s dense image: `(columns, rows,
+    /// row stride)`. A stage at cumulative scale `(cx, cy)` owns a `W/cx
+    /// × H/cy` grid; rows are stored at a stride padded to a whole number
+    /// of evaluation tiles, so every tile evaluation is full-width (the
+    /// padding lanes hold don't-care values that no in-grid column ever
+    /// reads back, since taps satisfy `dx <= 0`).
+    fn grid(&self, stage: usize) -> (usize, usize, usize) {
+        let (cx, cy) = self.scale_of[stage];
+        let cw = self.w as usize / cx as usize;
+        let ch = self.h as usize / cy as usize;
+        (cw, ch, cw.next_multiple_of(TILE))
     }
 
-    /// Columns of row `y` of a consumer active since `start` whose loads
-    /// fall inside the gate window: `[en_lo, en_hi)` (the whole row when
-    /// ungated). Loaded values outside it are zero.
-    fn gate_cols(&self, gate: Option<(u64, u64)>, start: u64, y: usize) -> (usize, usize) {
-        let w = self.w as usize;
-        match gate {
-            None => (0, w),
+    /// Producer columns of consumer base row `yb` whose loads through
+    /// `ep` (consumer active since `start`) fall inside the gate window:
+    /// `[en_lo, en_hi)` (the whole producer row when ungated). The load
+    /// of producer column `col` happens at base cycle `start + yb·W +
+    /// col·pcx`; loaded values outside the window are zero.
+    fn gate_cols(&self, ep: &EdgeProg, start: u64, yb: usize) -> (usize, usize) {
+        let pcx = ep.pscale.0;
+        let pw = self.w as u64 / pcx;
+        match ep.gate {
+            None => (0, pw as usize),
             Some((gs, ge)) => {
-                let base = start + (y * w) as u64;
-                let lo = gs.saturating_sub(base).min(w as u64) as usize;
-                let hi = ge.saturating_sub(base).min(w as u64) as usize;
+                let base = start + yb as u64 * self.w as u64;
+                let lo = gs.saturating_sub(base).div_ceil(pcx).min(pw) as usize;
+                let hi = ge.saturating_sub(base).div_ceil(pcx).min(pw) as usize;
                 (lo, hi.max(lo))
             }
         }
     }
 
     /// The frame-at-a-time executor: stages stream whole frames in
-    /// start-cycle order into dense images (rows padded to
-    /// [`EvalProgram::wstride`]), indexed by netlist stage. The activity
-    /// passes and the report read these images afterwards.
+    /// start-cycle order into dense images, one per netlist stage, each
+    /// in its own grid ([`EvalProgram::grid`]). A stage on its producers'
+    /// grid — every stage of a rate-1 program — streams through the
+    /// vectorized tile evaluator; a resampling stage steps its taps
+    /// through the producer grid scalarly. The activity passes and the
+    /// report read these images afterwards.
     pub(crate) fn stage_images(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
         let pixel = self.pixel;
-        let (w, h) = (self.w as usize, self.h as usize);
-        // Rows are stored at a stride padded to a whole number of
-        // tiles, so every tile evaluation is full-width; the padding
-        // lanes hold don't-care values that no in-frame column ever
-        // reads back (taps satisfy `dx <= 0`).
-        let ws = self.wstride();
-
-        let mut in_rast: Vec<Vec<i64>> = inputs
-            .iter()
-            .map(|img| {
-                let mut r = vec![0i64; h * ws];
-                let mut it = img.raster();
-                for y in 0..h {
-                    for v in r[y * ws..y * ws + w].iter_mut() {
-                        *v = trunc(it.next().unwrap_or(0), pixel);
-                    }
-                }
-                r
-            })
-            .collect();
-
         let mut images: Vec<Vec<i64>> = vec![Vec::new(); self.n_net_stages];
         // Shared workspaces across stages.
         let mut regs = vec![0i64; self.max_regs * TILE];
         let mut scratch: Vec<Vec<i64>> = Vec::new();
+        let mut rows: Vec<ResolvedRow> = Vec::new();
 
         for st in &self.stages {
-            images[st.stage] = match st.input {
-                // Each input stream feeds exactly one stage.
-                Some(k) => std::mem::take(&mut in_rast[k]),
-                None => {
-                    let mut out = vec![0i64; h * ws];
-                    self.eval_stage(st, &images, &mut out, &mut regs, &mut scratch);
-                    out
+            let (cw, ch, stride) = self.grid(st.stage);
+            let mut out = vec![0i64; ch * stride];
+            match st.input {
+                // Each input stream feeds exactly one stage, at rate 1.
+                Some(k) => {
+                    let mut it = inputs[k].raster();
+                    for y in 0..ch {
+                        for v in out[y * stride..y * stride + cw].iter_mut() {
+                            *v = trunc(it.next().unwrap_or(0), pixel);
+                        }
+                    }
                 }
-            };
+                None if st.tiled => {
+                    self.eval_stage(st, &images, &mut out, &mut regs, &mut scratch);
+                }
+                None => self.eval_stage_strided(st, &images, &mut out, &mut regs, &mut rows),
+            }
+            images[st.stage] = out;
         }
         images
     }
 
-    /// The interpreter report of a rate-1 run: output streams cut from
-    /// the dense images, totals from the compile-time closed forms.
+    /// The interpreter report of a run: output streams cut from the
+    /// dense images, totals from the compile-time closed forms.
     fn report(&self, images: &[Vec<i64>]) -> InterpReport {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
         let output_images = self
             .outputs
             .iter()
             .map(|&stage| {
+                let (cw, ch, stride) = self.grid(stage);
                 let img = &images[stage];
-                let mut dense = vec![0i64; self.frame as usize];
-                for y in 0..h {
-                    dense[y * w..(y + 1) * w].copy_from_slice(&img[y * ws..y * ws + w]);
+                let mut dense = vec![0i64; cw * ch];
+                for y in 0..ch {
+                    dense[y * cw..(y + 1) * cw].copy_from_slice(&img[y * stride..y * stride + cw]);
                 }
-                (
-                    stage,
-                    Image::from_raster(self.width_px, self.height_px, dense),
-                )
+                (stage, Image::from_raster(cw as u32, ch as u32, dense))
             })
             .collect();
 
@@ -1230,116 +1312,75 @@ impl EvalProgram {
         }
     }
 
-    /// Output-register bit toggles of one stage: the chain of
-    /// consecutive values of its output stream, from a zero reset.
-    pub(crate) fn out_toggles(&self, img: &[i64]) -> u64 {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
+    /// Output-register bit toggles of netlist stage `stage`: the chain of
+    /// consecutive values of its output stream over its own grid, from a
+    /// zero reset.
+    pub(crate) fn out_toggles(&self, stage: usize, img: &[i64]) -> u64 {
+        let (cw, ch, stride) = self.grid(stage);
         // Adjacent-pair form of the toggle chain (vectorizes).
         let mut tg = 0u64;
         let mut prev = 0i64;
-        for y in 0..h {
-            let row = &img[y * ws..y * ws + w];
+        for y in 0..ch {
+            let row = &img[y * stride..y * stride + cw];
             tg += toggles(prev, row[0], self.pixel);
             tg += row
                 .windows(2)
                 .map(|p| toggles(p[0], p[1], self.pixel))
                 .sum::<u64>();
-            prev = row[w - 1];
+            prev = row[cw - 1];
         }
         tg
     }
 
-    /// The multirate strided executor: frame-at-a-time streaming in
-    /// start-cycle order, each stage evaluated over its own `W/cx ×
-    /// H/cy` grid with taps stepping through the producer's grid at the
-    /// cumulative-scale stride. Under the (generalized) streaming
-    /// margins the dense producer image at `[min(⌊y_b/pcy⌋ + lag + j,
-    /// ph-1)][max(⌊x_b/pcx⌋ + dx, 0)]` is exactly the word the
-    /// rate-scheduled SRA holds at the stage's compute-enable cycle;
-    /// gate windows are applied per load at the base cycle the load
-    /// would occur (`S_c + y_b·W + col·pcx`). Report totals come from
-    /// the rate-aware compile-time closed forms.
-    fn exec_multirate(&self, inputs: &[Image]) -> InterpReport {
-        let pixel = self.pixel;
-        let (w, h) = (self.w as u64, self.h as u64);
+    /// Streams one resampling stage's whole frame into `out`, over its
+    /// own `W/cx × H/cy` grid with taps stepping through the producer's
+    /// grid at the cumulative-scale stride. Under the (generalized)
+    /// streaming margins the dense producer image at `[min(⌊y_b/pcy⌋ +
+    /// lag + j, ph-1)][max(⌊x_b/pcx⌋ + dx, 0)]` is exactly the word the
+    /// rate-scheduled SRA holds at the stage's compute-enable cycle; gate
+    /// windows are applied per load at the base cycle the load would
+    /// occur (`S_c + y_b·W + col·pcx`). The window rows are resolved once
+    /// per output row into `rows`, so a tap costs one bounds test and one
+    /// load.
+    fn eval_stage_strided(
+        &self,
+        st: &StageProg,
+        images: &[Vec<i64>],
+        out: &mut [i64],
+        regs: &mut [i64],
+        rows: &mut Vec<ResolvedRow>,
+    ) {
+        let (cw, ch, stride) = self.grid(st.stage);
+        let (ccx, ccy) = self.scale_of[st.stage];
         let sh = 64 - self.acc.min(64);
-
-        // Dense per-stage images in each stage's own grid, unpadded
-        // row-major (the scalar path needs no tile alignment).
-        let mut images: Vec<Vec<i64>> = vec![Vec::new(); self.n_net_stages];
-        let mut dims: Vec<(u64, u64)> = vec![(0, 0); self.n_net_stages];
-        let mut regs = vec![0i64; self.max_regs];
-
-        for st in &self.stages {
-            let (ccx, ccy) = self.scale_of[st.stage];
-            let (cw, ch) = (w / ccx, h / ccy);
-            dims[st.stage] = (cw, ch);
-            let mut out = vec![0i64; (cw * ch) as usize];
-            match st.input {
-                Some(k) => {
-                    // Input stages are always rate-1: full-frame copy.
-                    let mut it = inputs[k].raster();
-                    for v in out.iter_mut() {
-                        *v = trunc(it.next().unwrap_or(0), pixel);
+        for yc in 0..ch {
+            let yb = yc * ccy as usize;
+            rows.clear();
+            rows.extend(st.row_taps.iter().map(|rt| {
+                let ep = &self.edges[rt.edge];
+                let row = (yb as u64 / rt.pcy + rt.k).min(rt.ph - 1) as usize;
+                let (lo, hi) = self.gate_cols(ep, st.start, yb);
+                (ep.prod_stage, row * rt.stride, lo, hi, rt.pcx as usize)
+            }));
+            let orow = &mut out[yc * stride..yc * stride + cw];
+            for (xc, o) in orow.iter_mut().enumerate() {
+                let xb = xc * ccx as usize;
+                let root = eval_scalar(&st.tape, regs, sh, &mut |vrow, dx| {
+                    let (prod, base, lo, hi, pcx) = rows[vrow as usize];
+                    let col = ((xb / pcx) as isize + dx as isize).max(0) as usize;
+                    if col < lo || col >= hi {
+                        0
+                    } else {
+                        images[prod][base + col]
                     }
-                }
-                None => {
-                    let edges = &self.edges[st.edges.clone()];
-                    for yc in 0..ch {
-                        let yb = yc * ccy;
-                        for xc in 0..cw {
-                            let xb = xc * ccx;
-                            let root = eval_scalar(&st.tape, &mut regs, sh, &mut |vrow, dx| {
-                                let vrow = vrow as usize;
-                                let ep = edges
-                                    .iter()
-                                    .find(|e| vrow >= e.vrow_base && vrow < e.vrow_base + e.height)
-                                    .expect("tap vrow maps to an edge window");
-                                let j = (vrow - ep.vrow_base) as u64;
-                                let (pcx, pcy) = self.scale_of[ep.prod_stage];
-                                let (pw, ph) = (w / pcx, h / pcy);
-                                let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
-                                let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
-                                if let Some((gs, ge)) = ep.gate {
-                                    let t = st.start + yb * w + col * pcx;
-                                    if t < gs || t >= ge {
-                                        return 0;
-                                    }
-                                }
-                                images[ep.prod_stage][(row * pw + col) as usize]
-                            });
-                            out[(yc * cw + xc) as usize] = trunc(root, pixel);
-                        }
-                    }
-                }
+                });
+                *o = trunc(root, self.pixel);
             }
-            images[st.stage] = out;
-        }
-
-        let output_images = self
-            .outputs
-            .iter()
-            .map(|&stage| {
-                let (cw, ch) = dims[stage];
-                (
-                    stage,
-                    Image::from_raster(cw as u32, ch as u32, images[stage].clone()),
-                )
-            })
-            .collect();
-
-        InterpReport {
-            cycles: self.end,
-            latency: self.done_cycle,
-            output_images,
-            sram_reads: self.sram_reads,
-            sram_writes: self.sram_writes,
-            gated_off_cycles: self.gated_off_cycles,
         }
     }
 
-    /// Streams one compute stage's whole frame into `out`.
+    /// Streams one compute stage on its producers' grid — the whole
+    /// frame of a rate-1 stage — into `out` through the tile evaluator.
     fn eval_stage(
         &self,
         st: &StageProg,
@@ -1348,8 +1389,11 @@ impl EvalProgram {
         regs: &mut [i64],
         scratch: &mut Vec<Vec<i64>>,
     ) {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
+        // The stage shares its producers' grid, so a tap at row offset
+        // `lag + j` reads producer row `min(y + lag + j, h - 1)` of the
+        // same extents and stride.
+        let (w, h, ws) = self.grid(st.stage);
+        let ccy = self.scale_of[st.stage].1 as usize;
         let sh = 64 - self.acc.min(64);
         let pixel = self.pixel;
         if scratch.len() < st.n_vrows {
@@ -1361,7 +1405,7 @@ impl EvalProgram {
             // bottom clamp, gate-zeroed per load column. Scratch copies
             // are only made on partially-gated rows (adversarial plans).
             for ep in &self.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = self.gate_cols(ep.gate, st.start, y);
+                let (en_lo, en_hi) = self.gate_cols(ep, st.start, y * ccy);
                 if en_lo == 0 && en_hi == w {
                     continue;
                 }
@@ -1378,7 +1422,7 @@ impl EvalProgram {
             }
             let mut vrows: Vec<&[i64]> = Vec::with_capacity(st.n_vrows);
             for ep in &self.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = self.gate_cols(ep.gate, st.start, y);
+                let (en_lo, en_hi) = self.gate_cols(ep, st.start, y * ccy);
                 let prod = &images[ep.prod_stage];
                 for j in 0..ep.height {
                     if en_lo == 0 && en_hi == w {
@@ -1408,12 +1452,17 @@ impl EvalProgram {
     /// load stream. The SRA is a delay line: every toggle between two
     /// consecutively loaded values re-appears once per column as it
     /// shifts through, so the legacy per-cycle sum telescopes to
-    /// `Σ_u T(u) · min(width, frame - u)` over the load stream `T` (the
-    /// tail loads retire before completing the full traversal).
+    /// `Σ_u T(u) · min(width, L - u)` over the load stream `T` of length
+    /// `L` (the tail loads retire before completing the full traversal).
+    /// The stream is the edge's loads in cycle order: per consumer row
+    /// `y_b` (step `ccy`), producer row `min(⌊y_b/pcy⌋ + lag + j, ph-1)`
+    /// across all `pw` producer columns, so `L = ⌈H/ccy⌉ · pw` (`L =
+    /// frame` for a rate-1 edge).
     fn edge_bit_toggles(&self, start: u64, ep: &EdgeProg, images: &[Vec<i64>]) -> u64 {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
-        let frame = self.frame;
+        let (pw, ph, stride) = self.grid(ep.prod_stage);
+        let pcy = ep.pscale.1 as usize;
+        let h = self.h as usize;
+        let len = (h.div_ceil(ep.ccy as usize) * pw) as u64;
         let width = ep.width as u64;
         let prod = &images[ep.prod_stage];
         let mask = if self.pixel >= 64 {
@@ -1421,21 +1470,21 @@ impl EvalProgram {
         } else {
             (1u64 << self.pixel) - 1
         };
-        let tail_start = frame.saturating_sub(width - 1);
+        let tail_start = len.saturating_sub(width - 1);
         let mut total = 0u64;
         for j in 0..ep.height {
             let mut prev = 0i64;
             let mut full_sum = 0u64;
-            for y in 0..h {
-                let r = (y + ep.lag as usize + j).min(h - 1);
-                let row = &prod[r * ws..r * ws + w];
-                let (en_lo, en_hi) = self.gate_cols(ep.gate, start, y);
-                let row_t = (y * w) as u64;
-                let xsplit = (tail_start.saturating_sub(row_t) as usize).min(w);
-                if en_lo == 0 && en_hi == w && xsplit == w {
+            for (i, yb) in (0..h).step_by(ep.ccy as usize).enumerate() {
+                let r = (yb / pcy + ep.lag as usize + j).min(ph - 1);
+                let row = &prod[r * stride..r * stride + pw];
+                let (en_lo, en_hi) = self.gate_cols(ep, start, yb);
+                let row_t = (i * pw) as u64;
+                let xsplit = (tail_start.saturating_sub(row_t) as usize).min(pw);
+                if en_lo == 0 && en_hi == pw && xsplit == pw {
                     // Fully enabled, fully ahead of the retirement tail
-                    // (the common case: every row but the frame's last
-                    // few cycles, ungated or inside the gate window).
+                    // (the common case: every row but the stream's last
+                    // few loads, ungated or inside the gate window).
                     // The chain against `prev` reduces to adjacent
                     // pairs, which vectorizes.
                     full_sum += (((prev ^ row[0]) as u64) & mask).count_ones() as u64;
@@ -1443,7 +1492,7 @@ impl EvalProgram {
                         .windows(2)
                         .map(|p| (((p[0] ^ p[1]) as u64) & mask).count_ones() as u64)
                         .sum::<u64>();
-                    prev = row[w - 1];
+                    prev = row[pw - 1];
                 } else {
                     for (x, &cell) in row.iter().enumerate() {
                         let v = if x >= en_lo && x < en_hi { cell } else { 0 };
@@ -1452,7 +1501,7 @@ impl EvalProgram {
                         if x < xsplit {
                             full_sum += tg;
                         } else {
-                            total += tg * (frame - (row_t + x as u64));
+                            total += tg * (len - (row_t + x as u64));
                         }
                     }
                 }
@@ -1465,108 +1514,151 @@ impl EvalProgram {
     /// Per-block SRAM read/write/peak accounting, reproduced without a
     /// cycle loop: for each buffer, sweep spans of cycles over which
     /// every participant (the writer and each consumer edge) keeps its
-    /// raster row, bank segment and gate state — per-cycle counts are
-    /// constant across such a span. Reads merge on identical
-    /// `(block, row, column)` within a cycle, which across edges can
-    /// only collide when two consumers run phase-aligned (start cycles
-    /// congruent mod `w`); the sweep merges their window rows first.
+    /// raster row, bank segment and gate state. A participant acts only
+    /// on its cadence — rows `y % cy == 0` of its own (writer) or its
+    /// consumer's (reader) vertical scale, columns `x % pcx == 0` of the
+    /// buffer's horizontal scale, shared by every participant — so within
+    /// a span it acts on the cycles of one residue class mod `pcx`, and
+    /// per-cycle counts are constant within each class. Reads merge on
+    /// identical `(block, row, column)` within a cycle, which across
+    /// edges can only collide when two consumers run phase-aligned (start
+    /// cycles congruent mod `w`); the sweep merges their window rows
+    /// first.
     fn block_sweep(&self, tr: &mut TraceAcc) {
-        let w = self.w as u64;
-        let h = self.h as u64;
-        let frame = self.frame;
-
-        // Consumer edges per buffer: (consumer start, lag, height, gate).
-        type ReaderEdge = (u64, u32, u64, Option<(u64, u64)>);
         let mut readers: Vec<Vec<ReaderEdge>> = vec![Vec::new(); self.buffers.len()];
         for st in &self.stages {
             for ep in &self.edges[st.edges.clone()] {
-                readers[ep.buf].push((st.start, ep.lag, ep.height as u64, ep.gate));
+                readers[ep.buf].push((st.start, ep.lag, ep.height as u64, ep.gate, ep.ccy));
             }
         }
-
-        for (bi, meta) in self.buffers.iter().enumerate() {
-            let nb = &meta.nb;
+        for (bi, rd) in readers.iter().enumerate() {
+            let nb = &self.buffers[bi].nb;
             if nb.phys_blocks == 0 || nb.fifo {
                 continue;
             }
-            let ws = self.start_of[nb.stage];
-            let rd = &readers[bi];
-            let t0 = rd.iter().map(|r| r.0).min().unwrap_or(ws).min(ws);
-            let tend = rd
-                .iter()
-                .map(|r| r.0 + frame)
-                .max()
-                .unwrap_or(ws + frame)
-                .max(ws + frame);
+            // Buffers whose participants all act on every cycle take the
+            // instantiation with the cadence arithmetic folded away.
+            if self.scale_of[nb.stage] == (1, 1) && rd.iter().all(|r| r.4 == 1) {
+                self.sweep_buffer::<true>(bi, rd, tr);
+            } else {
+                self.sweep_buffer::<false>(bi, rd, tr);
+            }
+        }
+    }
 
-            let mut rcnt = vec![0u32; nb.phys_blocks];
-            let mut wcnt = vec![0u32; nb.phys_blocks];
-            let mut touched: Vec<usize> = Vec::new();
-            // Merged unique reads of one span: (column phase, row). Loads
-            // merge only within a phase class (identical column).
-            let mut reads: Vec<(u64, u64)> = Vec::new();
+    /// [`EvalProgram::block_sweep`] of buffer `bi` read by `rd`. `UNIT`
+    /// asserts that the buffer and every reader run at rate 1.
+    fn sweep_buffer<const UNIT: bool>(&self, bi: usize, rd: &[ReaderEdge], tr: &mut TraceAcc) {
+        let w = self.w as u64;
+        let frame = self.frame;
+        let meta = &self.buffers[bi];
+        let nb = &meta.nb;
+        let (pcx, pcy) = if UNIT {
+            (1, 1)
+        } else {
+            self.scale_of[nb.stage]
+        };
+        let ph = self.h as u64 / pcy;
+        let ws = self.start_of[nb.stage];
+        let t0 = rd.iter().map(|r| r.0).min().unwrap_or(ws).min(ws);
+        let tend = rd
+            .iter()
+            .map(|r| r.0 + frame)
+            .max()
+            .unwrap_or(ws + frame)
+            .max(ws + frame);
 
-            // Position of a participant active since `start` at cycle
-            // `t`, shrinking the span end `se` to the next boundary at
-            // which its row / segment / liveness changes.
-            let span_for = |start: u64, t: u64, se: &mut u64| -> Option<(u64, u64)> {
-                if t < start {
-                    *se = (*se).min(start);
-                    return None;
-                }
-                if t >= start + frame {
-                    return None;
-                }
-                let k = t - start;
-                let (y, x) = (k / w, k % w);
-                *se = (*se).min(t + (w - x)).min(start + frame);
-                if nb.blocks_per_row > 1 {
-                    let cut = meta.seg_cuts.iter().find(|&&c| c > x).copied().unwrap_or(w) - x;
-                    *se = (*se).min(t + cut);
-                }
-                Some((y, x))
-            };
+        let mut rcnt = vec![0u32; nb.phys_blocks];
+        let mut wcnt = vec![0u32; nb.phys_blocks];
+        let mut touched: Vec<usize> = Vec::new();
+        // Merged unique reads of one span: (residue, column phase, row).
+        // Loads merge only within a phase class (identical column), which
+        // implies an identical residue.
+        let mut reads: Vec<(u64, u64, u64)> = Vec::new();
+        let mut residues: Vec<u64> = Vec::new();
 
-            let mut t = t0;
-            while t < tend {
-                let mut se = tend;
-                let writer_at = span_for(ws, t, &mut se);
-                reads.clear();
-                for &(rs, lag, height, gate) in rd {
-                    let pos = span_for(rs, t, &mut se);
-                    let mut enabled = true;
-                    if let Some((gs, ge)) = gate {
-                        if t < gs {
-                            se = se.min(gs);
-                            enabled = false;
-                        } else if t < ge {
-                            se = se.min(ge);
-                        } else {
-                            enabled = false;
-                        }
+        // Position of a participant active since `start` at cycle `t`,
+        // shrinking the span end `se` to the next boundary at which its
+        // row / segment / liveness changes.
+        let span_for = |start: u64, t: u64, se: &mut u64| -> Option<(u64, u64)> {
+            if t < start {
+                *se = (*se).min(start);
+                return None;
+            }
+            if t >= start + frame {
+                return None;
+            }
+            let k = t - start;
+            let (y, x) = (k / w, k % w);
+            *se = (*se).min(t + (w - x)).min(start + frame);
+            if nb.blocks_per_row > 1 {
+                let cut = meta.seg_cuts.iter().find(|&&c| c > x).copied().unwrap_or(w) - x;
+                *se = (*se).min(t + cut);
+            }
+            Some((y, x))
+        };
+        // First offset into the span at which a participant at column
+        // `x` acts: its residue class mod `pcx`.
+        let residue = |x: u64| if UNIT { 0 } else { (pcx - x % pcx) % pcx };
+
+        let mut t = t0;
+        while t < tend {
+            let mut se = tend;
+            let writer_at = span_for(ws, t, &mut se).filter(|&(y, _)| UNIT || y % pcy == 0);
+            reads.clear();
+            for &(rs, lag, height, gate, ccy) in rd {
+                let pos = span_for(rs, t, &mut se);
+                let mut enabled = true;
+                if let Some((gs, ge)) = gate {
+                    if t < gs {
+                        se = se.min(gs);
+                        enabled = false;
+                    } else if t < ge {
+                        se = se.min(ge);
+                    } else {
+                        enabled = false;
                     }
-                    if let Some((y, x)) = pos {
-                        if enabled {
-                            reads.extend((0..height).map(|j| (x, (y + lag as u64 + j).min(h - 1))));
-                        }
+                }
+                if let Some((y, x)) = pos {
+                    if enabled && (UNIT || y % ccy == 0) {
+                        let r0 = y / pcy + lag as u64;
+                        reads.extend((0..height).map(|j| (residue(x), x, (r0 + j).min(ph - 1))));
                     }
                 }
-                let len = se - t;
+            }
+            let len = se - t;
 
-                // Per-cycle counts for this span: merged unique reads,
-                // then the write.
-                reads.sort_unstable();
-                reads.dedup();
-                for &(x, r) in &reads {
-                    if let Some(b) = nb.block_of(r, x as u32, self.geom_pixel_bits) {
+            // Per-cycle counts of each residue class of this span: merged
+            // unique reads, then the write.
+            reads.sort_unstable();
+            reads.dedup();
+            residues.clear();
+            if UNIT {
+                residues.push(0);
+            } else {
+                residues.extend(reads.iter().map(|r| r.0));
+                residues.extend(writer_at.map(|(_, x)| residue(x)));
+                residues.sort_unstable();
+                residues.dedup();
+            }
+            for &rho in &residues {
+                // Cycles of the span in this class.
+                let n = len.saturating_sub(rho).div_ceil(pcx);
+                if n == 0 {
+                    continue;
+                }
+                for &(_, x, r) in reads.iter().filter(|r| r.0 == rho) {
+                    let xg = (x + rho) / pcx;
+                    if let Some(b) = nb.block_of(r, xg as u32, self.geom_pixel_bits) {
                         if rcnt[b] == 0 && wcnt[b] == 0 {
                             touched.push(b);
                         }
                         rcnt[b] += 1;
                     }
                 }
-                if let Some((y, x)) = writer_at {
-                    if let Some(b) = nb.block_of(y, x as u32, self.geom_pixel_bits) {
+                if let Some((y, x)) = writer_at.filter(|&(_, x)| residue(x) == rho) {
+                    let xg = (x + rho) / pcx;
+                    if let Some(b) = nb.block_of(y / pcy, xg as u32, self.geom_pixel_bits) {
                         if rcnt[b] == 0 && wcnt[b] == 0 {
                             touched.push(b);
                         }
@@ -1574,8 +1666,8 @@ impl EvalProgram {
                     }
                 }
                 for &b in &touched {
-                    tr.block_reads[bi][b] += rcnt[b] as u64 * len;
-                    tr.block_writes[bi][b] += wcnt[b] as u64 * len;
+                    tr.block_reads[bi][b] += rcnt[b] as u64 * n;
+                    tr.block_writes[bi][b] += wcnt[b] as u64 * n;
                     let peak = rcnt[b] + wcnt[b];
                     if peak > tr.block_peaks[bi][b] {
                         tr.block_peaks[bi][b] = peak;
@@ -1584,8 +1676,8 @@ impl EvalProgram {
                     wcnt[b] = 0;
                 }
                 touched.clear();
-                t = se;
             }
+            t = se;
         }
     }
 
@@ -1614,11 +1706,14 @@ impl EvalProgram {
             if nb.fifo {
                 // FIFO chains: one push and one pop per segment per live
                 // cycle — the cycle simulator's synthetic SODA accounting.
+                // A multirate producer pushes one stage-grid frame.
+                let (sx, sy) = self.scale_of[nb.stage];
+                let live = self.frame / (sx * sy);
                 for r in b.block_reads.iter_mut() {
-                    *r = self.frame;
+                    *r = live;
                 }
                 for wr in b.block_writes.iter_mut() {
-                    *wr = self.frame;
+                    *wr = live;
                 }
                 for p in b.block_peaks.iter_mut() {
                     *p = 2;
@@ -1626,17 +1721,23 @@ impl EvalProgram {
             }
             trace.buffers.push(b);
         }
+        // Cadence counts: base cycles of the frame raster with `y % cy ==
+        // 0 && x % cx == 0` (the whole frame at rate 1).
+        let (w, h) = (self.w as u64, self.h as u64);
+        let cadence = |cx: u64, cy: u64| h.div_ceil(cy) * w.div_ceil(cx);
         for st in &self.stages {
+            let (cx, cy) = self.scale_of[st.stage];
             let sa = &mut trace.stages[st.stage];
-            sa.active_cycles = self.frame;
+            sa.active_cycles = cadence(cx, cy);
             if st.has_module {
-                sa.out_reg_writes = self.frame;
+                sa.out_reg_writes = sa.active_cycles;
                 sa.out_reg_toggles = tr.out_toggles[st.stage];
             }
             for (lei, ep) in self.edges[st.edges.clone()].iter().enumerate() {
                 let ea = &mut trace.sras[ep.edge];
-                ea.shift_cycles = self.frame;
-                ea.cell_writes = (ep.height * ep.width) as u64 * self.frame;
+                // Edge-active cycles: consumer rows, producer columns.
+                ea.shift_cycles = cadence(ep.pscale.0, ep.ccy);
+                ea.cell_writes = (ep.height * ep.width) as u64 * ea.shift_cycles;
                 ea.bit_toggles = tr.sra_toggles[st.edges.start + lei];
             }
         }
@@ -1654,6 +1755,11 @@ fn toggles(old: i64, new: i64, bits: u32) -> u64 {
     };
     (((old ^ new) as u64) & mask).count_ones() as u64
 }
+
+/// One consumer edge of a buffer, as the block sweep sees it: consumer
+/// start, window lag, window height, gate window and consumer row cadence
+/// `ccy`.
+type ReaderEdge = (u64, u32, u64, Option<(u64, u64)>, u64);
 
 /// Per-run activity accumulators of a traced run or a structure pass.
 struct TraceAcc {

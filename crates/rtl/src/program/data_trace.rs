@@ -17,19 +17,27 @@ use imagen_ir::{Expr, Window};
 use imagen_sim::Image;
 use std::collections::HashMap;
 
-/// Chained toggle sums of one load stream: the raster-order sequence of
-/// words a window row at row offset `k` loads from its producer,
-/// `image[min(y + k, h - 1)][x]`.
+/// Chained toggle sums of one load stream: the cycle-order sequence of
+/// words a window row at row offset `k` of a consumer with row cadence
+/// `ccy` loads from its producer — per consumer row `y_b` (step `ccy`),
+/// `image[min(⌊y_b/pcy⌋ + k, ph - 1)][0..pw]`.
 #[derive(Debug)]
 struct LoadSums {
-    /// Bit toggles between consecutive loads over the whole frame,
+    /// Stream length `L = ⌈H/ccy⌉ · pw`.
+    len: u64,
+    /// Bit toggles between consecutive loads over the whole stream,
     /// starting from a zero reset.
     total: u64,
-    /// Per-cycle toggles of the frame's last `tail.len()` loads — the
+    /// Per-load toggles of the stream's last `tail.len()` loads — the
     /// retirement tail, whose loads leave the array before crossing all
     /// of its columns.
     tail: Vec<u32>,
 }
+
+/// One netlist stage's share of a [`Datapath`]: input stream, kernel of
+/// compute stages, and cumulative rate scale (which fixes the stage's
+/// grid and cadence).
+type StageDatapath = (Option<usize>, Option<Expr>, (u64, u64));
 
 /// The datapath a [`DataTrace`] was recorded from: everything the stage
 /// images depend on besides the stimulus. A point whose netlist matches
@@ -40,8 +48,7 @@ struct Datapath {
     height: u32,
     pixel_bits: u32,
     acc_bits: u32,
-    /// Per netlist stage: input stream, and kernel of compute stages.
-    stages: Vec<(Option<usize>, Option<Expr>)>,
+    stages: Vec<StageDatapath>,
     /// Per netlist edge: producer, consumer, kernel slot and window.
     edges: Vec<(usize, usize, usize, Window)>,
 }
@@ -64,7 +71,13 @@ impl Datapath {
             stages: net
                 .stages
                 .iter()
-                .map(|s| (s.input_stream, kernel_of(net, s.module).cloned()))
+                .map(|s| {
+                    (
+                        s.input_stream,
+                        kernel_of(net, s.module).cloned(),
+                        (s.scale_x, s.scale_y),
+                    )
+                })
                 .collect(),
             edges: net
                 .edges
@@ -84,8 +97,10 @@ impl Datapath {
                 .stages
                 .iter()
                 .zip(&net.stages)
-                .all(|((input, kernel), s)| {
-                    *input == s.input_stream && kernel.as_ref() == kernel_of(net, s.module)
+                .all(|((input, kernel, scale), s)| {
+                    *input == s.input_stream
+                        && kernel.as_ref() == kernel_of(net, s.module)
+                        && *scale == (s.scale_x, s.scale_y)
                 })
             && self.edges.len() == net.edges.len()
             && self
@@ -101,8 +116,10 @@ impl Datapath {
 /// The data pass of a traced run, recorded once for one datapath on one
 /// stimulus: the output-register toggle total of every stage and the
 /// chained toggle sums of every load stream, keyed by *(producer stage,
-/// row offset)* rather than by netlist edge, so the sums stay valid when
-/// coalescing rewrites a point's read ports.
+/// row offset, consumer row cadence)* rather than by netlist edge, so
+/// the sums stay valid when coalescing rewrites a point's read ports.
+/// Multirate datapaths are covered: images, toggle chains and load
+/// streams all live on each stage's own grid.
 ///
 /// Hold one for the duration of a sweep and reprice every point with
 /// [`DataTrace::structure_trace`]. It is immutable, so worker threads
@@ -110,10 +127,9 @@ impl Datapath {
 #[derive(Debug)]
 pub struct DataTrace {
     datapath: Datapath,
-    frame: u64,
     /// Output-register toggles per netlist stage (0 for input stages).
     out_toggles: Vec<u64>,
-    loads: HashMap<(usize, u32), LoadSums>,
+    loads: HashMap<(usize, u32, u64), LoadSums>,
 }
 
 impl DataTrace {
@@ -122,47 +138,36 @@ impl DataTrace {
     /// structure pass needs.
     ///
     /// Returns `Ok(None)` when the data pass cannot stand for the traced
-    /// run: a schedule that violates the streaming margins, or a
-    /// multirate pipeline.
+    /// run: a schedule that violates the streaming margins.
     ///
     /// # Errors
     ///
     /// [`InterpError`] on a missing line buffer or on input count or
     /// geometry mismatch.
     pub fn record(net: &Netlist, inputs: &[Image]) -> Result<Option<DataTrace>, InterpError> {
-        if net.stages.iter().any(|s| s.is_multirate()) {
-            return Ok(None);
-        }
         let prog = EvalProgram::lower(net, None, true)?;
-        if !prog.streamable || prog.multirate {
+        if !prog.streamable {
             return Ok(None);
         }
         prog.check_inputs(inputs)?;
         let images = prog.stage_images(inputs);
         let mut out_toggles = vec![0; prog.n_net_stages];
         for st in prog.stages.iter().filter(|st| st.has_module) {
-            out_toggles[st.stage] = prog.out_toggles(&images[st.stage]);
+            out_toggles[st.stage] = prog.out_toggles(st.stage, &images[st.stage]);
         }
         // The widest array's tail covers every narrower one.
-        let tail = prog
-            .edges
-            .iter()
-            .map(|e| e.width as u64 - 1)
-            .max()
-            .unwrap_or(0)
-            .min(prog.frame) as usize;
+        let tail = prog.edges.iter().map(|e| e.width - 1).max().unwrap_or(0);
         let mut loads = HashMap::new();
         for ep in &prog.edges {
             for j in 0..ep.height as u32 {
                 let k = ep.lag + j;
                 loads
-                    .entry((ep.prod_stage, k))
-                    .or_insert_with(|| prog.load_sums(&images[ep.prod_stage], k, tail));
+                    .entry((ep.prod_stage, k, ep.ccy))
+                    .or_insert_with(|| prog.load_sums(ep, &images[ep.prod_stage], k, tail));
             }
         }
         Ok(Some(DataTrace {
             datapath: Datapath::of(net),
-            frame: prog.frame,
             out_toggles,
             loads,
         }))
@@ -175,10 +180,12 @@ impl DataTrace {
     /// schedule and memories — no kernel is evaluated.
     ///
     /// Returns `Ok(None)` unless the guard holds for this point: `net`'s
-    /// datapath equals the recorded one, its schedule is streamable,
-    /// every stage is rate-1, and no gate window zeroes a consumed load.
-    /// Under the guard the point's stage images are the recorded ones,
-    /// gated or not, so the trace is identical field for field.
+    /// datapath equals the recorded one (kernels, windows, widths and
+    /// every stage's rate scale), its schedule is streamable, and no gate
+    /// window zeroes a consumed load. Under the guard the point's stage
+    /// images are the recorded ones, gated or not, so the trace is
+    /// identical field for field — for rate-1 and multirate pipelines
+    /// alike.
     ///
     /// # Errors
     ///
@@ -193,7 +200,7 @@ impl DataTrace {
             return Ok(None);
         }
         let prog = EvalProgram::lower(net, gating, false)?;
-        if !prog.streamable || prog.multirate || !prog.gates_cover_loads() {
+        if !prog.streamable || !prog.gates_cover_loads() {
             return Ok(None);
         }
         let mut tr = TraceAcc::for_program(&prog);
@@ -213,16 +220,16 @@ impl DataTrace {
     }
 
     /// [`EvalProgram::edge_bit_toggles`] of an edge none of whose loads
-    /// is gated off, from the cached sums: `Σ_u T(u) · min(width,
-    /// frame - u)` per window row, with every load but the tail's weighted
-    /// by the full array width. `None` if a row offset or a tail this
-    /// long was not recorded.
+    /// is gated off, from the cached sums: `Σ_u T(u) · min(width, L - u)`
+    /// per window row, with every load but the tail's weighted by the
+    /// full array width. `None` if a load stream or a tail this long was
+    /// not recorded.
     fn edge_bit_toggles(&self, ep: &EdgeProg) -> Option<u64> {
         let width = ep.width as u64;
-        let n_tail = (width - 1).min(self.frame) as usize;
         let mut total = 0u64;
         for j in 0..ep.height as u32 {
-            let sums = self.loads.get(&(ep.prod_stage, ep.lag + j))?;
+            let sums = self.loads.get(&(ep.prod_stage, ep.lag + j, ep.ccy))?;
+            let n_tail = (width - 1).min(sums.len) as usize;
             let tail = &sums.tail[sums.tail.len().checked_sub(n_tail)?..];
             let head = sums.total - tail.iter().map(|&t| t as u64).sum::<u64>();
             total += head * width;
@@ -239,38 +246,51 @@ impl DataTrace {
 }
 
 impl EvalProgram {
-    /// Guard fact three: every gate window covers each consumer's whole
-    /// row on every row it reads, so no load is zeroed.
+    /// Guard fact three: every gate window covers all of each edge's
+    /// load cycles, so no load is zeroed. An edge loads from its
+    /// consumer's first row (at the consumer's start cycle) to the last
+    /// producer column of its last active row `⌊(H-1)/ccy⌋·ccy`.
     fn gates_cover_loads(&self) -> bool {
-        let w = self.w as usize;
+        let w = self.w as u64;
         self.stages.iter().all(|st| {
             self.edges[st.edges.clone()].iter().all(|ep| {
-                (0..self.h as usize).all(|y| self.gate_cols(ep.gate, st.start, y) == (0, w))
+                ep.gate.is_none_or(|(gs, ge)| {
+                    let pcx = ep.pscale.0;
+                    let last_row = (self.h as u64 - 1) / ep.ccy * ep.ccy;
+                    let last = st.start + last_row * w + (w / pcx - 1) * pcx;
+                    gs <= st.start && last < ge
+                })
             })
         })
     }
 
     /// The chained toggle sums of the load stream at row offset `k` of
-    /// the dense image `prod`, keeping the last `tail` per-cycle toggles.
-    fn load_sums(&self, prod: &[i64], k: u32, tail: usize) -> LoadSums {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
+    /// edge `ep`'s consumer cadence over the producer image `prod`,
+    /// keeping the last `tail` per-load toggles.
+    fn load_sums(&self, ep: &EdgeProg, prod: &[i64], k: u32, tail: usize) -> LoadSums {
+        let (pw, ph, stride) = self.grid(ep.prod_stage);
+        let pcy = ep.pscale.1 as usize;
+        let h = self.h as usize;
+        let n_rows = h.div_ceil(ep.ccy as usize);
+        let len = n_rows * pw;
+        let tail = tail.min(len);
         let mask = if self.pixel >= 64 {
             u64::MAX
         } else {
             (1u64 << self.pixel) - 1
         };
         let tg = |a: i64, b: i64| (((a ^ b) as u64) & mask).count_ones();
-        let tail_start = self.frame as usize - tail;
+        let tail_start = len - tail;
         let mut sums = LoadSums {
+            len: len as u64,
             total: 0,
             tail: Vec::with_capacity(tail),
         };
         let mut prev = 0i64;
-        for y in 0..h {
-            let r = (y + k as usize).min(h - 1);
-            let row = &prod[r * ws..r * ws + w];
-            if (y + 1) * w <= tail_start {
+        for (i, yb) in (0..h).step_by(ep.ccy as usize).enumerate() {
+            let r = (yb / pcy + k as usize).min(ph - 1);
+            let row = &prod[r * stride..r * stride + pw];
+            if (i + 1) * pw <= tail_start {
                 // Adjacent-pair form of the chain (vectorizes).
                 sums.total += tg(prev, row[0]) as u64;
                 sums.total += row.windows(2).map(|p| tg(p[0], p[1]) as u64).sum::<u64>();
@@ -280,12 +300,12 @@ impl EvalProgram {
                     let t = tg(p, v);
                     p = v;
                     sums.total += t as u64;
-                    if y * w + x >= tail_start {
+                    if i * pw + x >= tail_start {
                         sums.tail.push(t);
                     }
                 }
             }
-            prev = row[w - 1];
+            prev = row[pw - 1];
         }
         sums
     }

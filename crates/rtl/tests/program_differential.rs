@@ -10,11 +10,15 @@
 //!
 //! * the full Tbl. 3 corpus (all 7 pipelines), at both width regimes
 //!   (16/32 default and 64/64 wide), ungated and clock-gated;
+//! * a hand-built pyramid, whose traced run takes the per-stage-grid
+//!   activity passes;
 //! * randomly generated DAGs exercising every kernel operator (wrapping
 //!   arithmetic, division by zero, out-of-range shifts, comparisons,
-//!   selects, inverted clamps) on random seeds.
+//!   selects, inverted clamps) on random seeds, half of them with a
+//!   `downsample(2,2)` / `upsample(2,2)` pair spliced in.
 
 use imagen_algos::{noise_bits, Algorithm};
+use imagen_baselines::generate_soda;
 use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
@@ -110,6 +114,23 @@ fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     assert_report_eq(&format!("{tag} traced-vs-untraced"), &fast, &fast_rep);
 }
 
+/// [`differential`] on `gated` with each gate window in turn delayed by
+/// `ds` and cut short by `de` cycles, for every `(ds, de)` in `shifts`:
+/// corrupted plans the gating pass never emits, whose windows cut into
+/// live loads and zero loaded words mid-row.
+fn partial_gate_differentials(tag: &str, gated: &Netlist, inputs: &[Image], shifts: &[(u64, u64)]) {
+    let n_gates = gated.gating.as_ref().expect("gating plan").gates.len();
+    for gi in 0..n_gates {
+        for &(ds, de) in shifts {
+            let mut net = gated.clone();
+            let g = &mut net.gating.as_mut().expect("gating plan").gates[gi];
+            g.read_start += ds;
+            g.read_end = g.read_end.saturating_sub(de).max(g.read_start);
+            differential(&format!("{tag} gate {gi} +{ds}/-{de}"), &net, inputs);
+        }
+    }
+}
+
 fn noise_inputs(dag: &Dag, geom: &ImageGeometry, seed: u64, bits: u32) -> Vec<Image> {
     let n = dag.stages().filter(|(_, s)| s.is_input()).count();
     (0..n)
@@ -185,16 +206,11 @@ fn gauss3(slot: usize) -> Expr {
 /// back up, and a unit-rate band stage subtracting the reconstruction
 /// from the full-rate input — through the strided multirate program
 /// path vs the legacy interpreter, both width regimes, ungated and
-/// gated. This is the one corpus entry whose program takes the
-/// `exec_multirate` scalar path instead of the tile loop.
-#[test]
-fn program_matches_legacy_on_pyramid() {
-    let geom = ImageGeometry {
-        width: 48,
-        height: 32,
-        pixel_bits: 16,
-    };
-    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+/// gated. This is the one corpus entry whose program evaluates on
+/// per-stage grids (the scalar path) instead of the tile loop, and
+/// whose traced run takes the cadenced activity passes.
+/// The pyramid of [`program_matches_legacy_on_pyramid`].
+fn pyramid_dag() -> Dag {
     let mut dag = Dag::new("pyramid");
     let raw = dag.add_input("raw");
     let g0 = dag.add_stage("g0", &[raw], gauss3(0)).unwrap();
@@ -231,7 +247,18 @@ fn program_matches_legacy_on_pyramid() {
         )
         .unwrap();
     dag.mark_output(band);
+    dag
+}
 
+#[test]
+fn program_matches_legacy_on_pyramid() {
+    let geom = ImageGeometry {
+        width: 48,
+        height: 32,
+        pixel_bits: 16,
+    };
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    let dag = pyramid_dag();
     let plan = plan_design(
         &dag,
         &geom,
@@ -252,6 +279,184 @@ fn program_matches_legacy_on_pyramid() {
             &gate_clocks(&net),
             &inputs,
         );
+    }
+}
+
+/// Clock-gate windows that cut into live loads — corrupted plans the
+/// gating pass never emits — zero loaded words mid-row and mid-frame.
+/// The program's gate-aware passes (load-stream toggles, block sweep,
+/// read-port duty) must still equal the walker, on the pyramid's
+/// per-stage grids as on a rate-1 raster.
+#[test]
+fn program_matches_legacy_under_partial_gate_windows() {
+    let geom = ImageGeometry {
+        width: 48,
+        height: 32,
+        pixel_bits: 16,
+    };
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    let w = geom.width as u64;
+    for (name, dag) in [
+        ("pyramid", pyramid_dag()),
+        ("unsharp_m", Algorithm::UnsharpM.build()),
+    ] {
+        let plan = plan_design(
+            &dag,
+            &geom,
+            &spec,
+            ScheduleOptions::default(),
+            DesignStyle::Ours,
+        )
+        .unwrap();
+        let inputs = noise_inputs(&plan.dag, &geom, 0x6A7E, 6);
+        let gated = gate_clocks(&build_netlist(
+            &plan.dag,
+            &plan.design,
+            &BitWidths::default(),
+        ));
+        partial_gate_differentials(
+            name,
+            &gated,
+            &inputs,
+            &[
+                (1, 0),
+                (0, 1),
+                (w + 3, 0),
+                (0, 2 * w + 5),
+                (w / 2, 3 * w / 2),
+            ],
+        );
+    }
+}
+
+/// A 3×3-stencil pipeline around one resampling pair: blur, `down`,
+/// blur on the coarse grid (so the coarse buffer holds several rows),
+/// and `up` back to the base grid for a unit-rate band stage.
+fn resampled_band(down: Rate, up: Rate) -> Dag {
+    let mut dag = Dag::new("band");
+    let raw = dag.add_input("raw");
+    let g0 = dag.add_stage("g0", &[raw], gauss3(0)).unwrap();
+    let d = dag
+        .add_stage_rated("d", &[g0], Expr::tap(0, 0, 0), down)
+        .unwrap();
+    let c = dag.add_stage("c", &[d], gauss3(0)).unwrap();
+    let u = dag
+        .add_stage_rated("u", &[c], Expr::tap(0, 0, 0), up)
+        .unwrap();
+    let band = dag
+        .add_stage(
+            "band",
+            &[raw, u],
+            Expr::bin(BinOp::Sub, Expr::tap(0, 0, 0), Expr::tap(1, 0, 0)),
+        )
+        .unwrap();
+    dag.mark_output(band);
+    dag
+}
+
+/// A two-level pyramid: the half-rate band of a quarter-rate blur,
+/// replicated back to the base grid.
+fn two_level_pyramid() -> Dag {
+    let half = Rate::Down { fx: 2, fy: 2 };
+    let double = Rate::Up { fx: 2, fy: 2 };
+    let mut dag = Dag::new("pyramid2");
+    let raw = dag.add_input("raw");
+    let g0 = dag.add_stage("g0", &[raw], gauss3(0)).unwrap();
+    let d1 = dag
+        .add_stage_rated("d1", &[g0], Expr::tap(0, 0, 0), half)
+        .unwrap();
+    let g1 = dag.add_stage("g1", &[d1], gauss3(0)).unwrap();
+    let d2 = dag
+        .add_stage_rated("d2", &[g1], Expr::tap(0, 0, 0), half)
+        .unwrap();
+    let g2 = dag.add_stage("g2", &[d2], gauss3(0)).unwrap();
+    let u2 = dag
+        .add_stage_rated("u2", &[g2], Expr::tap(0, 0, 0), double)
+        .unwrap();
+    let b1 = dag
+        .add_stage(
+            "b1",
+            &[g1, u2],
+            Expr::bin(BinOp::Sub, Expr::tap(0, 0, 0), Expr::tap(1, 0, 0)),
+        )
+        .unwrap();
+    let u1 = dag
+        .add_stage_rated("u1", &[b1], Expr::tap(0, 0, 0), double)
+        .unwrap();
+    dag.mark_output(u1);
+    dag
+}
+
+/// Resampling beyond the example pyramids: a two-level pyramid (column
+/// cadence 4 on the quarter-rate grid) and an anisotropic
+/// `downsample(4,2)` / `upsample(4,2)` pair. Each is planned as the
+/// scheduler's design under two bank organisations (two rows per block,
+/// and a quarter row per block so a coarse row spans several banks) and
+/// as a SODA design (FIFO chains on resampled producers), then run
+/// ungated, gated and under gate windows that cut into live loads:
+/// program ≡ legacy, report and trace.
+#[test]
+fn program_matches_legacy_on_deep_and_anisotropic_pyramids() {
+    let geom = ImageGeometry {
+        width: 48,
+        height: 32,
+        pixel_bits: 16,
+    };
+    let w = geom.width as u64;
+    let row_bits = geom.row_bits();
+    let dags = [
+        ("two-level", two_level_pyramid()),
+        (
+            "4x2",
+            resampled_band(Rate::Down { fx: 4, fy: 2 }, Rate::Up { fx: 4, fy: 2 }),
+        ),
+    ];
+    for (name, dag) in &dags {
+        let mut plans = Vec::new();
+        for block_bits in [2 * row_bits, row_bits / 4] {
+            let spec = MemorySpec::new(MemBackend::Asic { block_bits }, 2);
+            let plan = plan_design(
+                dag,
+                &geom,
+                &spec,
+                ScheduleOptions::default(),
+                DesignStyle::Ours,
+            )
+            .unwrap();
+            plans.push((format!("{name} {block_bits}b"), plan));
+        }
+        let soda = generate_soda(
+            dag,
+            &geom,
+            MemBackend::Asic {
+                block_bits: 2 * row_bits,
+            },
+        )
+        .unwrap();
+        let soda_net = build_netlist(&soda.dag, &soda.design, &BitWidths::default());
+        assert!(
+            soda_net
+                .buffers
+                .iter()
+                .any(|b| b.fifo && soda_net.stages[b.stage].is_multirate()),
+            "{name}: SODA design chains FIFOs on a resampled producer"
+        );
+        plans.push((format!("{name} soda"), soda));
+
+        for (tag, plan) in &plans {
+            assert!(plan.dag.is_multirate(), "{tag}");
+            let inputs = noise_inputs(&plan.dag, &geom, 0xDEE9, 6);
+            let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+            differential(&format!("{tag} ungated"), &net, &inputs);
+            let gated = gate_clocks(&net);
+            differential(&format!("{tag} gated"), &gated, &inputs);
+            partial_gate_differentials(
+                tag,
+                &gated,
+                &inputs,
+                &[(1, 0), (0, 1), (0, 2), (3, 0), (w + 1, 0), (0, w + 3)],
+            );
+        }
     }
 }
 
@@ -337,14 +542,35 @@ fn rand_expr(state: &mut u64, depth: u32) -> Expr {
 }
 
 /// A random linear pipeline of 1–3 stages (each with at least one tap so
-/// every stage has a stencil).
+/// every stage has a stencil). Half the pipelines splice in a
+/// `downsample(2,2)` stage and, later, a matching `upsample(2,2)` stage,
+/// so the stages between them run on the half-rate grid. The resampling
+/// stages draw from their own stream, so the rate-1 stages are the same
+/// as without them.
 fn rand_dag(seed: u64, n_stages: usize) -> Dag {
     let mut state = seed;
+    let mut rates = seed ^ 0x05EE_D0F4_A7E5;
     let mut dag = Dag::new("fuzz");
     let mut prev = dag.add_input("K0");
-    for i in 0..n_stages {
-        let expr = Expr::bin(BinOp::Add, Expr::tap(0, 0, 0), rand_expr(&mut state, 3));
-        prev = dag.add_stage(format!("K{}", i + 1), &[prev], expr).unwrap();
+    let span = n_stages as u64 + 1;
+    let down = next(&mut rates)
+        .is_multiple_of(2)
+        .then(|| next(&mut rates) % span);
+    let up = down.map(|d| d + next(&mut rates) % (span - d));
+    for i in 0..=n_stages {
+        for (at, name, rate) in [
+            (down, "down", Rate::Down { fx: 2, fy: 2 }),
+            (up, "up", Rate::Up { fx: 2, fy: 2 }),
+        ] {
+            if at == Some(i as u64) {
+                let expr = Expr::bin(BinOp::Add, Expr::tap(0, 0, 0), rand_expr(&mut rates, 2));
+                prev = dag.add_stage_rated(name, &[prev], expr, rate).unwrap();
+            }
+        }
+        if i < n_stages {
+            let expr = Expr::bin(BinOp::Add, Expr::tap(0, 0, 0), rand_expr(&mut state, 3));
+            prev = dag.add_stage(format!("K{}", i + 1), &[prev], expr).unwrap();
+        }
     }
     dag.mark_output(prev);
     dag
@@ -353,8 +579,9 @@ fn rand_dag(seed: u64, n_stages: usize) -> Dag {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random DAGs, random input seeds: program ≡ legacy, ungated and
-    /// gated, report and trace.
+    /// Random DAGs (half of them pyramids), random input seeds: program ≡
+    /// legacy, ungated, gated and under gate windows that cut into live
+    /// loads, report and trace.
     #[test]
     fn program_matches_legacy_on_random_dags(
         seed in 0u64..u64::MAX,
@@ -371,7 +598,9 @@ proptest! {
         for widths in [BitWidths::default(), BitWidths::wide()] {
             let net = build_netlist(&plan.dag, &plan.design, &widths);
             differential("random ungated", &net, &inputs);
-            differential("random gated", &gate_clocks(&net), &inputs);
+            let gated = gate_clocks(&net);
+            differential("random gated", &gated, &inputs);
+            partial_gate_differentials("random", &gated, &inputs, &[(1, 0), (0, 1), (0, 33)]);
         }
     }
 }

@@ -5,7 +5,8 @@
 //! (`imagen::rtl::interpret_legacy`) and the compiled evaluation
 //! program (`imagen::rtl::interpret`) must all agree bit-exactly on
 //! every output stream — with and without clock gating, at both width
-//! regimes:
+//! regimes — and the program's traced run must reproduce the legacy
+//! interpreter's activity trace field for field:
 //!
 //! * **wide** (64/64): datapath arithmetic coincides with the software
 //!   model's `i64` semantics, exact on full-range 8-bit inputs;
@@ -17,7 +18,10 @@
 //! the frame for CI.
 
 use imagen::power::gate_clocks;
-use imagen::rtl::{build_netlist, interpret, interpret_legacy, BitWidths};
+use imagen::rtl::{
+    build_netlist, interpret, interpret_legacy, interpret_with_trace, interpret_with_trace_legacy,
+    BitWidths,
+};
 use imagen::sim::{execute, simulate, Image};
 use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
 
@@ -136,6 +140,21 @@ fn four_way(file: &str, widths: &BitWidths, input: Image, label: &str) {
             (fast.cycles, fast.latency, fast.sram_reads, fast.sram_writes),
             (slow.cycles, slow.latency, slow.sram_reads, slow.sram_writes),
             "{file} ({label} {gating}): report totals"
+        );
+        // Traced runs: the program's per-stage-grid activity passes
+        // reproduce the walker's trace field for field, and tracing
+        // changes no pixel.
+        let (traced, fast_tr) = interpret_with_trace(net, std::slice::from_ref(&input))
+            .unwrap_or_else(|e| panic!("{file} ({label} {gating}): {e}"));
+        let (_, slow_tr) = interpret_with_trace_legacy(net, std::slice::from_ref(&input))
+            .unwrap_or_else(|e| panic!("{file} ({label} {gating}): {e}"));
+        assert_eq!(
+            fast_tr, slow_tr,
+            "{file} ({label} {gating}): program vs legacy activity trace"
+        );
+        assert_eq!(
+            traced.output_images, fast.output_images,
+            "{file} ({label} {gating}): traced vs untraced program"
         );
     }
 }
