@@ -802,7 +802,13 @@ fn loaded_cycles(lo: u64, hi: u64, runs: &mut [(u64, u64, u64)], step: u64) -> u
             cursor = lo;
         }
         // Cycles `t ≡ phase` in `[0, n)`.
-        let below = |n: u64| n.saturating_sub(phase).div_ceil(step);
+        let below = |n: u64| {
+            if step == 1 {
+                n
+            } else {
+                n.saturating_sub(phase).div_ceil(step)
+            }
+        };
         let s = s.max(cursor).min(hi);
         let e = e.min(hi);
         if e > s {
@@ -1571,10 +1577,10 @@ impl EvalProgram {
         let mut rcnt = vec![0u32; nb.phys_blocks];
         let mut wcnt = vec![0u32; nb.phys_blocks];
         let mut touched: Vec<usize> = Vec::new();
-        // Merged unique reads of one span: (residue, column phase, row).
-        // Loads merge only within a phase class (identical column), which
+        // Merged unique reads of one span: (column phase, row). Loads
+        // merge only within a phase class (identical column), which
         // implies an identical residue.
-        let mut reads: Vec<(u64, u64, u64)> = Vec::new();
+        let mut reads: Vec<(u64, u64)> = Vec::new();
         let mut residues: Vec<u64> = Vec::new();
 
         // Position of a participant active since `start` at cycle `t`,
@@ -1622,7 +1628,7 @@ impl EvalProgram {
                 if let Some((y, x)) = pos {
                     if enabled && (UNIT || y % ccy == 0) {
                         let r0 = y / pcy + lag as u64;
-                        reads.extend((0..height).map(|j| (residue(x), x, (r0 + j).min(ph - 1))));
+                        reads.extend((0..height).map(|j| (x, (r0 + j).min(ph - 1))));
                     }
                 }
             }
@@ -1632,22 +1638,23 @@ impl EvalProgram {
             // unique reads, then the write.
             reads.sort_unstable();
             reads.dedup();
-            residues.clear();
-            if UNIT {
-                residues.push(0);
+            let classes: &[u64] = if UNIT {
+                &[0]
             } else {
-                residues.extend(reads.iter().map(|r| r.0));
+                residues.clear();
+                residues.extend(reads.iter().map(|r| residue(r.0)));
                 residues.extend(writer_at.map(|(_, x)| residue(x)));
                 residues.sort_unstable();
                 residues.dedup();
-            }
-            for &rho in &residues {
+                &residues
+            };
+            for &rho in classes {
                 // Cycles of the span in this class.
                 let n = len.saturating_sub(rho).div_ceil(pcx);
                 if n == 0 {
                     continue;
                 }
-                for &(_, x, r) in reads.iter().filter(|r| r.0 == rho) {
+                for &(x, r) in reads.iter().filter(|r| residue(r.0) == rho) {
                     let xg = (x + rho) / pcx;
                     if let Some(b) = nb.block_of(r, xg as u32, self.geom_pixel_bits) {
                         if rcnt[b] == 0 && wcnt[b] == 0 {
