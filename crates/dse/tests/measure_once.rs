@@ -157,13 +157,17 @@ fn check_sweeps(name: &str, dag: &Dag) {
     }
 }
 
-fn example(name: &str) -> Dag {
+/// The DSL source of `examples/{name}.imagen`.
+fn source(name: &str) -> String {
     let path = format!(
         "{}/../../examples/{name}.imagen",
         env!("CARGO_MANIFEST_DIR")
     );
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    imagen_dsl::compile(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+fn example(name: &str) -> Dag {
+    imagen_dsl::compile(name, &source(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 #[test]
@@ -326,15 +330,10 @@ fn count(c: &Collector, name: &str) -> usize {
 /// `example(name)` with every `downsample(..)`/`upsample(..)` modifier
 /// removed: the same kernels and windows, all at rate 1.
 fn rate_one_variant(name: &str) -> Dag {
-    let path = format!(
-        "{}/../../examples/{name}.imagen",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let src = src
+    let src = source(name)
         .replace("downsample(2,2) ", "")
         .replace("upsample(2,2) ", "");
-    imagen_dsl::compile(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"))
+    imagen_dsl::compile(name, &src).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 #[test]

@@ -667,6 +667,9 @@ struct EdgeProg {
     /// Producer's cumulative rate scale `(pcx, pcy)`: the edge loads at
     /// base columns `x % pcx == 0`, producer column `x / pcx`.
     pscale: (u64, u64),
+    /// Producer grid width `pw = W / pcx`: the columns each load row
+    /// spans.
+    pw: usize,
     /// Consumer's vertical scale `ccy`: the edge loads on base rows
     /// `y % ccy == 0`.
     ccy: u64,
@@ -1003,6 +1006,7 @@ impl EvalProgram {
                     vrow_base: n_vrows,
                     gate,
                     pscale,
+                    pw: (geom.width as u64 / pscale.0) as usize,
                     ccy,
                 });
                 n_vrows += height;
@@ -1240,11 +1244,10 @@ impl EvalProgram {
     /// of producer column `col` happens at base cycle `start + yb·W +
     /// col·pcx`; loaded values outside the window are zero.
     fn gate_cols(&self, ep: &EdgeProg, start: u64, yb: usize) -> (usize, usize) {
-        let pcx = ep.pscale.0;
-        let pw = self.w as u64 / pcx;
         match ep.gate {
-            None => (0, pw as usize),
+            None => (0, ep.pw),
             Some((gs, ge)) => {
+                let (pcx, pw) = (ep.pscale.0, ep.pw as u64);
                 let base = start + yb as u64 * self.w as u64;
                 let lo = gs.saturating_sub(base).div_ceil(pcx).min(pw) as usize;
                 let hi = ge.saturating_sub(base).div_ceil(pcx).min(pw) as usize;
@@ -1467,6 +1470,8 @@ impl EvalProgram {
     fn edge_bit_toggles(&self, start: u64, ep: &EdgeProg, images: &[Vec<i64>]) -> u64 {
         let (pw, ph, stride) = self.grid(ep.prod_stage);
         let pcy = ep.pscale.1 as usize;
+        // Producer row of consumer base row `yb` (no division at rate 1).
+        let prow = |yb: usize| if pcy == 1 { yb } else { yb / pcy };
         let h = self.h as usize;
         let len = (h.div_ceil(ep.ccy as usize) * pw) as u64;
         let width = ep.width as u64;
@@ -1482,7 +1487,7 @@ impl EvalProgram {
             let mut prev = 0i64;
             let mut full_sum = 0u64;
             for (i, yb) in (0..h).step_by(ep.ccy as usize).enumerate() {
-                let r = (yb / pcy + ep.lag as usize + j).min(ph - 1);
+                let r = (prow(yb) + ep.lag as usize + j).min(ph - 1);
                 let row = &prod[r * stride..r * stride + pw];
                 let (en_lo, en_hi) = self.gate_cols(ep, start, yb);
                 let row_t = (i * pw) as u64;

@@ -257,7 +257,7 @@ impl EvalProgram {
                 ep.gate.is_none_or(|(gs, ge)| {
                     let pcx = ep.pscale.0;
                     let last_row = (self.h as u64 - 1) / ep.ccy * ep.ccy;
-                    let last = st.start + last_row * w + (w / pcx - 1) * pcx;
+                    let last = st.start + last_row * w + (ep.pw as u64 - 1) * pcx;
                     gs <= st.start && last < ge
                 })
             })
@@ -270,6 +270,8 @@ impl EvalProgram {
     fn load_sums(&self, ep: &EdgeProg, prod: &[i64], k: u32, tail: usize) -> LoadSums {
         let (pw, ph, stride) = self.grid(ep.prod_stage);
         let pcy = ep.pscale.1 as usize;
+        // Producer row of consumer base row `yb` (no division at rate 1).
+        let prow = |yb: usize| if pcy == 1 { yb } else { yb / pcy };
         let h = self.h as usize;
         let n_rows = h.div_ceil(ep.ccy as usize);
         let len = n_rows * pw;
@@ -288,7 +290,7 @@ impl EvalProgram {
         };
         let mut prev = 0i64;
         for (i, yb) in (0..h).step_by(ep.ccy as usize).enumerate() {
-            let r = (yb / pcy + k as usize).min(ph - 1);
+            let r = (prow(yb) + k as usize).min(ph - 1);
             let row = &prod[r * stride..r * stride + pw];
             if (i + 1) * pw <= tail_start {
                 // Adjacent-pair form of the chain (vectorizes).

@@ -202,14 +202,9 @@ fn gauss3(slot: usize) -> Expr {
     Expr::bin(BinOp::Shr, sum, Expr::Const(4))
 }
 
-/// A pyramid pipeline — blur, decimate 2×2, half-rate blur, replicate
+/// A pyramid pipeline: blur, decimate 2×2, half-rate blur, replicate
 /// back up, and a unit-rate band stage subtracting the reconstruction
-/// from the full-rate input — through the strided multirate program
-/// path vs the legacy interpreter, both width regimes, ungated and
-/// gated. This is the one corpus entry whose program evaluates on
-/// per-stage grids (the scalar path) instead of the tile loop, and
-/// whose traced run takes the cadenced activity passes.
-/// The pyramid of [`program_matches_legacy_on_pyramid`].
+/// from the full-rate input.
 fn pyramid_dag() -> Dag {
     let mut dag = Dag::new("pyramid");
     let raw = dag.add_input("raw");
@@ -250,6 +245,10 @@ fn pyramid_dag() -> Dag {
     dag
 }
 
+/// [`pyramid_dag`] through the program's per-stage grids (strided
+/// resampling stages, tiled same-grid stages) and cadenced activity
+/// passes vs the legacy interpreter, both width regimes, ungated and
+/// gated.
 #[test]
 fn program_matches_legacy_on_pyramid() {
     let geom = ImageGeometry {
