@@ -914,9 +914,9 @@ impl EvalProgram {
         let scale_of: Vec<(u64, u64)> = net.stages.iter().map(|s| (s.scale_x, s.scale_y)).collect();
         // Per-stage grids are `W/cx × H/cy`: every scale must divide the
         // frame, as the planner requires.
-        let mut streamable = scale_of
-            .iter()
-            .all(|&(sx, sy)| (w as u64).is_multiple_of(sx) && (h as u64).is_multiple_of(sy));
+        let mut streamable = scale_of.iter().all(|&(sx, sy)| {
+            (sx, sy) == (1, 1) || ((w as u64).is_multiple_of(sx) && (h as u64).is_multiple_of(sy))
+        });
         for e in &net.edges {
             let sc = net.stages[e.consumer].start_cycle as i64;
             let sp = net.stages[e.producer].start_cycle as i64;
@@ -1612,6 +1612,40 @@ impl EvalProgram {
         // `x` acts: its residue class mod `pcx`.
         let residue = |x: u64| if UNIT { 0 } else { (pcx - x % pcx) % pcx };
 
+        // Adds `n` cycles of residue class `rho` of one span — its merged
+        // unique reads, then the write — to the per-block totals and peaks.
+        let mut tally = |rho: u64, n: u64, reads: &[(u64, u64)], writer_at: Option<(u64, u64)>| {
+            for &(x, r) in reads.iter().filter(|r| residue(r.0) == rho) {
+                let xg = (x + rho) / pcx;
+                if let Some(b) = nb.block_of(r, xg as u32, self.geom_pixel_bits) {
+                    if rcnt[b] == 0 && wcnt[b] == 0 {
+                        touched.push(b);
+                    }
+                    rcnt[b] += 1;
+                }
+            }
+            if let Some((y, x)) = writer_at.filter(|&(_, x)| residue(x) == rho) {
+                let xg = (x + rho) / pcx;
+                if let Some(b) = nb.block_of(y / pcy, xg as u32, self.geom_pixel_bits) {
+                    if rcnt[b] == 0 && wcnt[b] == 0 {
+                        touched.push(b);
+                    }
+                    wcnt[b] += 1;
+                }
+            }
+            for &b in &touched {
+                tr.block_reads[bi][b] += rcnt[b] as u64 * n;
+                tr.block_writes[bi][b] += wcnt[b] as u64 * n;
+                let peak = rcnt[b] + wcnt[b];
+                if peak > tr.block_peaks[bi][b] {
+                    tr.block_peaks[bi][b] = peak;
+                }
+                rcnt[b] = 0;
+                wcnt[b] = 0;
+            }
+            touched.clear();
+        };
+
         let mut t = t0;
         while t < tend {
             let mut se = tend;
@@ -1639,55 +1673,24 @@ impl EvalProgram {
             }
             let len = se - t;
 
-            // Per-cycle counts of each residue class of this span: merged
-            // unique reads, then the write.
+            // Per-cycle counts of each residue class of this span.
             reads.sort_unstable();
             reads.dedup();
-            let classes: &[u64] = if UNIT {
-                &[0]
+            if UNIT {
+                tally(0, len, &reads, writer_at);
             } else {
                 residues.clear();
                 residues.extend(reads.iter().map(|r| residue(r.0)));
                 residues.extend(writer_at.map(|(_, x)| residue(x)));
                 residues.sort_unstable();
                 residues.dedup();
-                &residues
-            };
-            for &rho in classes {
-                // Cycles of the span in this class.
-                let n = len.saturating_sub(rho).div_ceil(pcx);
-                if n == 0 {
-                    continue;
-                }
-                for &(x, r) in reads.iter().filter(|r| residue(r.0) == rho) {
-                    let xg = (x + rho) / pcx;
-                    if let Some(b) = nb.block_of(r, xg as u32, self.geom_pixel_bits) {
-                        if rcnt[b] == 0 && wcnt[b] == 0 {
-                            touched.push(b);
-                        }
-                        rcnt[b] += 1;
+                for &rho in &residues {
+                    // Cycles of the span in this class.
+                    let n = len.saturating_sub(rho).div_ceil(pcx);
+                    if n > 0 {
+                        tally(rho, n, &reads, writer_at);
                     }
                 }
-                if let Some((y, x)) = writer_at.filter(|&(_, x)| residue(x) == rho) {
-                    let xg = (x + rho) / pcx;
-                    if let Some(b) = nb.block_of(y / pcy, xg as u32, self.geom_pixel_bits) {
-                        if rcnt[b] == 0 && wcnt[b] == 0 {
-                            touched.push(b);
-                        }
-                        wcnt[b] += 1;
-                    }
-                }
-                for &b in &touched {
-                    tr.block_reads[bi][b] += rcnt[b] as u64 * n;
-                    tr.block_writes[bi][b] += wcnt[b] as u64 * n;
-                    let peak = rcnt[b] + wcnt[b];
-                    if peak > tr.block_peaks[bi][b] {
-                        tr.block_peaks[bi][b] = peak;
-                    }
-                    rcnt[b] = 0;
-                    wcnt[b] = 0;
-                }
-                touched.clear();
             }
             t = se;
         }
