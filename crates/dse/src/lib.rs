@@ -44,7 +44,8 @@ use imagen_core::{CompileError, Session};
 use imagen_ir::Dag;
 use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_rtl::{
-    build_netlist, report_resources_for, BitWidths, DataTrace, InterpError, Netlist, ResourceReport,
+    build_netlist, build_roster, report_resources_for, BitWidths, DataTrace, InterpError, Netlist,
+    ResourceReport,
 };
 use imagen_schedule::Plan;
 use imagen_sim::Image;
@@ -225,14 +226,14 @@ impl DseResult {
         spec_for(backend, &self.buffered_stages, &point.choices)
     }
 
-    /// Populates (and returns) the measured energy of point `index` from
-    /// its netlist — fetched from `session`'s cache, built without
-    /// Verilog if absent — on `inputs`, under both the ungated and the
-    /// clock-gated variants. The stage images are computed once (one
-    /// data pass) and both variants are repriced from them by the
-    /// structure pass; points outside its guard are interpreted twice
-    /// instead, with identical results. Memoized on the point: a second
-    /// call is free.
+    /// Populates (and returns) the measured energy of point `index` on
+    /// `inputs`, under both the ungated and the clock-gated variants. The
+    /// point's netlist — fetched from `session`'s cache, built without
+    /// Verilog if absent — computes the stage images once (one data
+    /// pass), and one structure pass over the point's roster reprices
+    /// both variants from them; points outside its guard have that
+    /// netlist interpreted twice instead, with identical results.
+    /// Memoized on the point: a second call is free.
     ///
     /// `session` must be a session for the same DAG/geometry the sweep
     /// ran on, and `input` one frame of that geometry per input stream.
@@ -253,7 +254,10 @@ impl DseResult {
         let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
         let net = session.netlist(&spec, Some(point.design.style))?;
         let data = DataTrace::record(&net, inputs)?;
-        let m = measured_energy(&net, &point.design, inputs, data.as_ref())?;
+        let plan = session.price(&spec, Some(point.design.style))?;
+        let m = measured_energy(&plan.dag, &point.design, inputs, data.as_ref(), || {
+            (*net).clone()
+        })?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -289,17 +293,19 @@ pub enum ExploreStrategy {
 /// available without a second pass. Every point of a sweep computes the
 /// same pixels on the same stimulus, so the data-dependent half of the
 /// measurement — stage images, register toggles, load-stream toggle
-/// sums ([`DataTrace`]) — is recorded once per sweep, by the first
-/// measured point. Each point then pays only for its structure pass
-/// (block sweep, closed forms, and the sums reassembled at its window
-/// sizes), for its ungated and its clock-gated netlist alike, and prices
-/// both traces. Multirate pipelines such as the pyramids take the same
-/// route: their data pass runs on each stage's own grid and their
-/// structure pass counts every access on its stage's cadence. Points
-/// outside the structure pass's guard — a schedule that violates the
-/// streaming margins, or gate windows that would zero a load — are
-/// interpreted in full, ungated and gated. Both routes give
-/// bit-identical [`MeasuredEnergy`].
+/// sums ([`DataTrace`]) — is recorded once per sweep, from the netlist
+/// of the first measured point: the sweep's one netlist elaboration.
+/// Every point then pays only for one structure pass over its roster
+/// (`imagen_rtl::build_roster`: schedule, buffers and edges, no
+/// modules) — block sweep, closed forms, and the sums reassembled at its
+/// window sizes — which yields its ungated and its clock-gated trace
+/// together, and prices both. Multirate pipelines such as the pyramids
+/// take the same route: their data pass runs on each stage's own grid
+/// and their structure pass counts every access on its stage's cadence.
+/// Points outside the structure pass's guard — a schedule that violates
+/// the streaming margins, or gate windows that would zero a load — have
+/// their netlist elaborated and interpreted in full, ungated and gated.
+/// Both routes give bit-identical [`MeasuredEnergy`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MeasureMode {
     /// Measure every point's netlist (ungated and clock-gated) on
@@ -375,16 +381,21 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
         .collect()
 }
 
-/// Measured energy of `net` and its clock-gated variant, repriced from
-/// `data` where the structure-pass guard holds.
+/// Measured energy of the point `design` scheduled from `dag` and of its
+/// clock-gated variant, repriced from `data` where the structure-pass
+/// guard holds; `elaborate` builds the point's netlist for the
+/// interpreting path.
 fn measured_energy(
-    net: &Netlist,
+    dag: &Dag,
     design: &Design,
     inputs: &[Image],
     data: Option<&DataTrace>,
+    elaborate: impl FnOnce() -> Netlist,
 ) -> Result<MeasuredEnergy, InterpError> {
-    let gating = imagen_power::gating_plan(net);
-    let e = imagen_power::measure_design_point(net, &gating, design, inputs, data)?;
+    let roster = build_roster(dag, design, &BitWidths::default());
+    let gating = imagen_power::gating_plan(&roster);
+    let e =
+        imagen_power::measure_design_point(dag, &roster, design, &gating, inputs, data, elaborate)?;
     Ok(MeasuredEnergy {
         energy_pj_per_frame: e.ungated.energy_pj_per_frame(),
         power_mw: e.ungated.total_mw(),
@@ -394,9 +405,12 @@ fn measured_energy(
 }
 
 /// The measuring half of one [`explore`] call: its stimulus and the data
-/// pass recorded on it. The first measured point records the
-/// [`DataTrace`]; every later point, on any worker, reprices from it.
-/// Dropped with the call — nothing is cached across sweeps.
+/// pass recorded on it. The first measured point elaborates its netlist
+/// and records the [`DataTrace`] from it; every point, on any worker, is
+/// then measured from its roster and the trace. Only a point outside the
+/// structure pass's guard has its netlist elaborated (span
+/// `dse.point.netlist`) to be interpreted. Dropped with the call —
+/// nothing is cached across sweeps.
 struct Measurer<'a> {
     inputs: &'a [Image],
     data: OnceLock<Option<DataTrace>>,
@@ -412,16 +426,19 @@ impl<'a> Measurer<'a> {
 
     fn measure(&self, plan: &Plan) -> MeasuredEnergy {
         let _s = imagen_obs::span("dse.point.measure");
-        // The netlist is transient (not cached), so a 2^N sweep does not
-        // pin 2^N netlists.
-        let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+        let elaborate = || build_netlist(&plan.dag, &plan.design, &BitWidths::default());
         let data = self.data.get_or_init(|| {
             let _s = imagen_obs::span("dse.data_trace");
-            DataTrace::record(&net, self.inputs)
+            DataTrace::record(&elaborate(), self.inputs)
                 .expect("sweep inputs are built to the sweep geometry")
         });
-        measured_energy(&net, &plan.design, self.inputs, data.as_ref())
-            .expect("sweep inputs are built to the sweep geometry")
+        // The fallback netlist is transient (not cached), so a 2^N sweep
+        // does not pin 2^N netlists.
+        measured_energy(&plan.dag, &plan.design, self.inputs, data.as_ref(), || {
+            let _s = imagen_obs::span("dse.point.netlist");
+            elaborate()
+        })
+        .expect("sweep inputs are built to the sweep geometry")
     }
 }
 
@@ -512,25 +529,32 @@ fn evaluate_masks(
 /// Under a measuring [`MeasureMode`] the sweep measures once and
 /// reprices per point: the first measured point records the sweep's
 /// [`DataTrace`] (the stage images and toggle sums of the shared
-/// datapath on the shared stimulus), which lives for this call only and
-/// is shared by reference across the worker threads; every point is then
-/// measured by its structure pass, ungated and clock-gated, without
+/// datapath on the shared stimulus) from its netlist, which lives for
+/// this call only and is shared by reference across the worker threads;
+/// every point is then measured by one structure pass over its roster,
+/// ungated and clock-gated together, without elaborating or
 /// interpreting a netlist — rate-1 and multirate pipelines alike. Points
 /// outside the structure pass's guard (see [`MeasureMode`]) are
-/// interpreted in full. Either way each
+/// elaborated and interpreted in full. Either way each
 /// [`DsePoint::measured`] is bit-identical to
 /// `imagen_power::measure_netlist` on that point's netlist.
 ///
 /// With an `imagen_obs` collector installed, the sweep reports the spans
 /// `dse.point.price` and `dse.point.measure` per point, `dse.data_trace`
-/// once, and `program.run` / `power.measure` beneath them — on every
-/// worker thread.
+/// once, `dse.point.netlist` per point outside the guard, and
+/// `program.run` / `power.measure` beneath them — on every worker
+/// thread.
 ///
 /// # Errors
 ///
-/// Propagates the first [`CompileError`] in enumeration order; individual
-/// infeasible points cannot occur for DP/DPLC choices (both are
-/// dual-port).
+/// Propagates the first [`CompileError`] in enumeration order. DP/DPLC
+/// choices are both dual-port, so no point should be infeasible, but a
+/// known planner defect makes some infeasible: on a buffer with three
+/// consumers the aliasing repair can leave three accesses to one
+/// dual-port block in one cycle, and the sweep fails with `cannot repair
+/// aliasing` (or `schedule violates ports`) — for example on
+/// `imagen_algos::synthetic_pipeline(9, 9962837773878349907)`, and on
+/// about 3% of small random DAGs.
 pub fn explore(
     dag: &Dag,
     geom: &ImageGeometry,

@@ -6,14 +6,16 @@
 //!   `upsample(2,2)` pair), under two stimuli and at 1 and 4 worker
 //!   threads, measure every point bit for bit as
 //!   `imagen_power::measure_netlist` does, every sweep records a data
-//!   trace, and the structure pass reproduces `interpret_with_trace`'s
-//!   activity trace field for field, ungated and clock-gated.
+//!   trace, and the paired structure pass reproduces
+//!   `interpret_with_trace`'s activity traces field for field, ungated
+//!   and clock-gated, from the point's roster.
 //! * Points outside the guard take the interpreting path: a partially
 //!   gated (corrupted) gate window — which must still trip the gated ≡
 //!   ungated output assertion — and a datapath whose rate scales differ
 //!   from the recorded one.
-//! * A rate-1 sweep and a pyramid sweep each record their data pass once
-//!   and interpret nothing.
+//! * A rate-1 sweep and a pyramid sweep each record their data pass once,
+//!   elaborate no netlist besides the one it is recorded from, and
+//!   interpret nothing.
 
 use imagen_core::Session;
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
@@ -21,7 +23,10 @@ use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_obs::Collector;
 use imagen_power::{gate_clocks, gating_plan, measure_design_point, measure_netlist};
-use imagen_rtl::{build_netlist, interpret_with_trace, BitWidths, DataTrace, Netlist};
+use imagen_rtl::{
+    build_netlist, build_roster, interpret_with_trace, BitWidths, DataTrace, GatingPlan, Netlist,
+    Roster,
+};
 use imagen_sim::Image;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -76,8 +81,17 @@ fn sweep(dag: &Dag, mode: MeasureMode, threads: usize) -> DseResult {
     .expect("sweep")
 }
 
-/// The netlist of point `mask` of `res`, as `explore` builds it.
-fn point_netlist(session: &Session, res: &DseResult, mask: usize) -> (Netlist, imagen_mem::Design) {
+/// Point `mask` of `res`, as `explore` plans it.
+struct Point {
+    /// The DAG the design was scheduled from.
+    dag: Dag,
+    design: imagen_mem::Design,
+    /// The point's netlist and its roster.
+    net: Netlist,
+    roster: Roster,
+}
+
+fn point(session: &Session, res: &DseResult, mask: usize) -> Point {
     let mut spec = MemorySpec::new(backend(), 2);
     for (bit, &stage) in res.buffered_stages.iter().enumerate() {
         spec.set_stage(
@@ -89,8 +103,12 @@ fn point_netlist(session: &Session, res: &DseResult, mask: usize) -> (Netlist, i
         );
     }
     let plan = session.price_transient(&spec, None).expect("price");
-    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
-    (net, plan.design.clone())
+    Point {
+        net: build_netlist(&plan.dag, &plan.design, &BitWidths::default()),
+        roster: build_roster(&plan.dag, &plan.design, &BitWidths::default()),
+        dag: plan.dag.clone(),
+        design: plan.design.clone(),
+    }
 }
 
 /// Sweeps `dag` under both stimuli at 1 and 4 threads and checks every
@@ -108,8 +126,9 @@ fn check_sweeps(name: &str, dag: &Dag) {
         );
         let mut data: Option<DataTrace> = None;
         for mask in 0..n {
-            let (net, design) = point_netlist(&session, &sweeps[0], mask);
-            let reference = measure_netlist(&net, &design, &inputs).expect("reference");
+            let pt = point(&session, &sweeps[0], mask);
+            let net = &pt.net;
+            let reference = measure_netlist(net, &pt.design, &inputs).expect("reference");
             for (threads, res) in [1, 4].iter().zip(&sweeps) {
                 let m = res.points[mask].measured.expect("measured sweep");
                 let tag = format!("{name} {mode:?} threads {threads} point {mask}");
@@ -138,21 +157,21 @@ fn check_sweeps(name: &str, dag: &Dag) {
             // The trace level: the data pass recorded on the first point
             // reprices every point exactly as interpretation counts it.
             if mask == 0 {
-                data = DataTrace::record(&net, &inputs).expect("record");
+                data = DataTrace::record(net, &inputs).expect("record");
             }
             let tag = format!("{name} {mode:?} point {mask}");
             let data = data
                 .as_ref()
                 .unwrap_or_else(|| panic!("{tag}: every sweep records a data trace"));
-            let (_, want) = interpret_with_trace(&net, &inputs).expect("ungated trace");
-            let got = data.structure_trace(&net, None).expect("structure pass");
-            assert_eq!(got.as_ref(), Some(&want), "{tag}: ungated trace");
-            let plan = gating_plan(&net);
-            let (_, want) = interpret_with_trace(&gate_clocks(&net), &inputs).expect("gated trace");
+            let plan = gating_plan(&pt.roster);
             let got = data
-                .structure_trace(&net, Some(&plan))
+                .structure_traces(&pt.dag, &pt.roster, &plan)
                 .expect("structure pass");
-            assert_eq!(got.as_ref(), Some(&want), "{tag}: gated trace");
+            let (ungated, gated) = got.unzip();
+            let (_, want) = interpret_with_trace(net, &inputs).expect("ungated trace");
+            assert_eq!(ungated.as_ref(), Some(&want), "{tag}: ungated trace");
+            let (_, want) = interpret_with_trace(&gate_clocks(net), &inputs).expect("gated trace");
+            assert_eq!(gated.as_ref(), Some(&want), "{tag}: gated trace");
         }
     }
 }
@@ -342,9 +361,10 @@ fn data_trace_refuses_a_datapath_at_other_rates() {
     let flat = rate_one_variant("gaussian_pyramid");
     assert!(pyramid.is_multirate() && !flat.is_multirate());
     let res = sweep(&pyramid, MeasureMode::Off, 1);
-    let (pyr_net, _) = point_netlist(&Session::new(&pyramid, geom()), &res, 0);
+    let pyr = point(&Session::new(&pyramid, geom()), &res, 0);
     let res = sweep(&flat, MeasureMode::Off, 1);
-    let (flat_net, _) = point_netlist(&Session::new(&flat, geom()), &res, 0);
+    let flat = point(&Session::new(&flat, geom()), &res, 0);
+    let (pyr_net, flat_net) = (&pyr.net, &flat.net);
     // Same kernels, same windows: only the rate scales differ.
     let datapath = |net: &Netlist| {
         net.edges
@@ -352,23 +372,25 @@ fn data_trace_refuses_a_datapath_at_other_rates() {
             .map(|e| (e.producer, e.consumer, e.slot, e.window))
             .collect::<Vec<_>>()
     };
-    assert_eq!(datapath(&pyr_net), datapath(&flat_net));
+    assert_eq!(datapath(pyr_net), datapath(flat_net));
     assert_eq!(pyr_net.stages.len(), flat_net.stages.len());
 
     let inputs = stimulus(&pyramid, MeasureMode::default());
-    let pyr_data = DataTrace::record(&pyr_net, &inputs)
+    let pyr_data = DataTrace::record(pyr_net, &inputs)
         .unwrap()
         .expect("pyramid data trace");
-    let flat_data = DataTrace::record(&flat_net, &inputs)
+    let flat_data = DataTrace::record(flat_net, &inputs)
         .unwrap()
         .expect("rate-1 data trace");
-    assert!(pyr_data.structure_trace(&pyr_net, None).unwrap().is_some());
-    assert!(pyr_data.structure_trace(&flat_net, None).unwrap().is_none());
-    assert!(flat_data
-        .structure_trace(&flat_net, None)
-        .unwrap()
-        .is_some());
-    assert!(flat_data.structure_trace(&pyr_net, None).unwrap().is_none());
+    // The structure pass of `data` at point `pt`, under its derived gates.
+    let traces = |data: &DataTrace, pt: &Point| {
+        data.structure_traces(&pt.dag, &pt.roster, &gating_plan(&pt.roster))
+            .unwrap()
+    };
+    assert!(traces(&pyr_data, &pyr).is_some());
+    assert!(traces(&pyr_data, &flat).is_none());
+    assert!(traces(&flat_data, &flat).is_some());
+    assert!(traces(&flat_data, &pyr).is_none());
 }
 
 /// The guard's gate-coverage fact against brute force: with each of the
@@ -382,14 +404,20 @@ fn guard_accepts_exactly_the_windows_that_cover_every_load() {
     for name in ["gaussian_pyramid", "laplacian_pyramid"] {
         let dag = example(name);
         let res = sweep(&dag, MeasureMode::Off, 1);
-        let (net, _) = point_netlist(&Session::new(&dag, geom()), &res, 0);
+        let pt = point(&Session::new(&dag, geom()), &res, 0);
+        let net = &pt.net;
         let inputs = stimulus(&dag, MeasureMode::default());
-        let data = DataTrace::record(&net, &inputs)
+        let data = DataTrace::record(net, &inputs)
             .unwrap()
             .expect("pyramid data trace");
-        let plan = gating_plan(&net);
-        assert!(data.structure_trace(&net, Some(&plan)).unwrap().is_some());
-        let gated = gate_clocks(&net);
+        // The gated half of the paired structure pass under `plan`.
+        let gated_trace = |plan: &GatingPlan| {
+            let traces = data.structure_traces(&pt.dag, &pt.roster, plan).unwrap();
+            traces.map(|(_, gated)| gated)
+        };
+        let plan = gating_plan(&pt.roster);
+        assert!(gated_trace(&plan).is_some());
+        let gated = gate_clocks(net);
         // Edge-active load cycles of buffer `b`: every consumer row `y %
         // ccy == 0`, every producer column `x % pcx == 0`.
         let loads = |b: usize| -> Vec<u64> {
@@ -420,7 +448,7 @@ fn guard_accepts_exactly_the_windows_that_cover_every_load() {
                     }
                     let covered = cycles.iter().all(|&t| g.enabled_at(t));
                     let tag = format!("{name} gate {gi} delta {delta} delay {delay}");
-                    let got = data.structure_trace(&net, Some(&variant)).unwrap();
+                    let got = gated_trace(&variant);
                     assert_eq!(got.is_some(), covered, "{tag}: guard");
                     let Some(got) = got else {
                         refused += 1;
@@ -443,34 +471,53 @@ fn corrupted_gate_window_takes_the_reference_path_and_trips_the_assertion() {
     let dag = example("unsharp_m");
     let session = Session::new(&dag, geom());
     let res = sweep(&dag, MeasureMode::Off, 1);
-    let (net, design) = point_netlist(&session, &res, 0);
+    let pt = point(&session, &res, 0);
     let inputs = stimulus(&dag, MeasureMode::default());
-    let data = DataTrace::record(&net, &inputs)
+    let data = DataTrace::record(&pt.net, &inputs)
         .unwrap()
         .expect("rate-1 data trace");
+    // Measures `pt` under `plan`, elaborating its netlist (span
+    // `dse.point.netlist`, as a sweep does) only if the structure pass
+    // refuses the point.
+    let measure = |plan: &GatingPlan| {
+        let elaborate = || {
+            let _s = imagen_obs::span("dse.point.netlist");
+            pt.net.clone()
+        };
+        measure_design_point(
+            &pt.dag,
+            &pt.roster,
+            &pt.design,
+            plan,
+            &inputs,
+            Some(&data),
+            elaborate,
+        )
+    };
 
-    // The derived plan passes the guard: no interpretation at all.
-    let plan = gating_plan(&net);
-    assert!(data.structure_trace(&net, Some(&plan)).unwrap().is_some());
+    // The derived plan passes the guard: no elaboration, no
+    // interpretation at all.
+    let plan = gating_plan(&pt.roster);
+    assert!(data
+        .structure_traces(&pt.dag, &pt.roster, &plan)
+        .unwrap()
+        .is_some());
     let collector = Arc::new(Collector::new());
-    imagen_obs::with_collector(&collector, || {
-        measure_design_point(&net, &plan, &design, &inputs, Some(&data)).unwrap()
-    });
+    imagen_obs::with_collector(&collector, || measure(&plan).unwrap());
     assert_eq!(count(&collector, "program.run"), 0);
+    assert_eq!(count(&collector, "dse.point.netlist"), 0);
 
     // A window that ends half a frame early zeroes live loads: the guard
     // refuses it, and the interpreting path catches the corruption.
     let mut corrupt = plan.clone();
-    corrupt.gates[0].read_end -= net.frame / 2;
+    corrupt.gates[0].read_end -= pt.roster.frame / 2;
     assert!(data
-        .structure_trace(&net, Some(&corrupt))
+        .structure_traces(&pt.dag, &pt.roster, &corrupt)
         .unwrap()
         .is_none());
     let collector = Arc::new(Collector::new());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        imagen_obs::with_collector(&collector, || {
-            measure_design_point(&net, &corrupt, &design, &inputs, Some(&data))
-        })
+        imagen_obs::with_collector(&collector, || measure(&corrupt))
     }));
     let panic = outcome.expect_err("a partially gated window must trip the assertion");
     let msg = panic
@@ -487,10 +534,16 @@ fn corrupted_gate_window_takes_the_reference_path_and_trips_the_assertion() {
         2,
         "both netlists interpreted"
     );
+    assert_ne!(
+        count(&collector, "dse.point.netlist"),
+        0,
+        "the refused point is elaborated"
+    );
 }
 
-/// Sweeps `name` at 1 and 2 threads and checks it records one data pass,
-/// interprets nothing, and reports every per-point span.
+/// Sweeps `name` at 1 and 2 threads and checks it records one data pass
+/// — the sweep's only netlist elaboration — interprets nothing, and
+/// reports every per-point span.
 fn check_one_data_pass(name: &str, points: usize) {
     let dag = example(name);
     for threads in [1, 2] {
@@ -502,6 +555,11 @@ fn check_one_data_pass(name: &str, points: usize) {
         assert_eq!(
             count(&collector, "dse.data_trace"),
             1,
+            "{name} threads {threads}"
+        );
+        assert_eq!(
+            count(&collector, "dse.point.netlist"),
+            0,
             "{name} threads {threads}"
         );
         assert_eq!(

@@ -15,8 +15,9 @@
 //! (`frame` pixels = `frame` cycles at one pixel per cycle), matching
 //! the analytic model's per-cycle-rate convention.
 
+use imagen_ir::{Dag, Expr, StageKind};
 use imagen_mem::{BramModel, Design, DffModel, MemBackend, PeModel, SramConfig, SramModel};
-use imagen_rtl::{ActivityTrace, ModuleKind, Netlist};
+use imagen_rtl::{ActivityTrace, BitWidths, Netlist};
 
 /// Measured energy of one line buffer (banks + FIFO head DFFs).
 #[derive(Clone, Debug)]
@@ -132,8 +133,63 @@ pub fn measure_at(
     trace: &ActivityTrace,
     clock_mhz: f64,
 ) -> EnergyReport {
+    let kernels = net.stages.iter().map(|s| {
+        let module = s.module.map(|m| &net.modules[m]);
+        module.and_then(|m| m.stage_payload()).map(|p| &p.kernel)
+    });
+    price(
+        &DatapathCost::new(&net.widths, kernels),
+        design,
+        trace,
+        clock_mhz,
+    )
+}
+
+/// What pricing reads of a datapath besides the trace: the pixel width
+/// and each stage's PE energy per kernel activation, from its operator
+/// census (`None` for input stages). A netlist and the DAG it was
+/// elaborated from give the same costs.
+pub(crate) struct DatapathCost {
+    pixel: u64,
+    pe_pj: Vec<Option<f64>>,
+}
+
+impl DatapathCost {
+    /// The cost of a datapath at `widths` whose stages, in order,
+    /// evaluate `kernels`.
+    fn new<'k>(widths: &BitWidths, kernels: impl Iterator<Item = Option<&'k Expr>>) -> Self {
+        DatapathCost {
+            pixel: widths.pixel_bits as u64,
+            pe_pj: kernels
+                .map(|k| {
+                    k.map(|k| {
+                        let c = k.op_census();
+                        PeModel::energy_pj(c.adds, c.muls, c.divs, c.cmps, c.muxes)
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// The cost of `dag`'s datapath at `widths`.
+    pub(crate) fn of_dag(dag: &Dag, widths: &BitWidths) -> Self {
+        let kernels = dag.stages().map(|(_, s)| match s.kind() {
+            StageKind::Compute { kernel } => Some(kernel),
+            StageKind::Input => None,
+        });
+        DatapathCost::new(widths, kernels)
+    }
+}
+
+/// [`measure_at`] with the datapath read from `cost`.
+pub(crate) fn price(
+    cost: &DatapathCost,
+    design: &Design,
+    trace: &ActivityTrace,
+    clock_mhz: f64,
+) -> EnergyReport {
     let _s = imagen_obs::span("power.measure");
-    let pixel = net.widths.pixel_bits as u64;
+    let pixel = cost.pixel;
     let word_bits = design.geometry.pixel_bits;
 
     let mut sram_read_pj = 0.0;
@@ -218,14 +274,10 @@ pub fn measure_at(
     // Stage output registers and PE activations.
     let mut outreg_dff_pj = 0.0;
     let mut pe_pj = 0.0;
-    for (stage, sa) in net.stages.iter().zip(&trace.stages) {
+    for (stage_pe_pj, sa) in cost.pe_pj.iter().zip(&trace.stages) {
         outreg_dff_pj += DffModel::shift_energy_pj(sa.out_reg_writes * pixel);
-        if let Some(m) = stage.module {
-            if let ModuleKind::Stage(p) = &net.modules[m].kind {
-                let c = p.kernel.op_census();
-                pe_pj += sa.active_cycles as f64
-                    * PeModel::energy_pj(c.adds, c.muls, c.divs, c.cmps, c.muxes);
-            }
+        if let Some(e) = stage_pe_pj {
+            pe_pj += sa.active_cycles as f64 * e;
         }
     }
 

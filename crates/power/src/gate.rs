@@ -31,31 +31,43 @@
 //! differential suite as the ungated one, and a wrong window corrupts
 //! the output stream instead of silently under-reporting energy.
 
-use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist};
+use imagen_rtl::{
+    BufferGate, Conn, GatingPlan, Item, Net, NetBuffer, NetEdge, NetStage, Netlist, Roster,
+};
 
-/// Derives the clock-gating plan of `net`: every line buffer's read port
-/// is gated to the union of its consumers' ILP windows. FIFO buffers
-/// (SODA) and pure-DFF buffers stay ungated — their clocking is
-/// dataflow-driven, not scheduled.
-pub fn gating_plan(net: &Netlist) -> GatingPlan {
+/// Derives the clock-gating plan of a design from its roster
+/// ([`imagen_rtl::build_roster`]): every line buffer's read port is gated
+/// to the union of its consumers' ILP windows. FIFO buffers (SODA) and
+/// pure-DFF buffers stay ungated — their clocking is dataflow-driven, not
+/// scheduled.
+pub fn gating_plan(roster: &Roster) -> GatingPlan {
+    plan_gates(&roster.stages, &roster.edges, &roster.buffers, roster.frame)
+}
+
+/// [`gating_plan`] of the schedule and memories a roster or a netlist
+/// mirrors.
+fn plan_gates(
+    stages: &[NetStage],
+    edges: &[NetEdge],
+    buffers: &[NetBuffer],
+    frame: u64,
+) -> GatingPlan {
     let mut gates: Vec<BufferGate> = Vec::new();
-    for (bi, buf) in net.buffers.iter().enumerate() {
+    for (bi, buf) in buffers.iter().enumerate() {
         if buf.fifo || buf.phys_blocks == 0 {
             continue;
         }
-        let windows: Vec<u64> = net
-            .edges
+        let windows = edges
             .iter()
             .filter(|e| e.producer == buf.stage)
-            .map(|e| net.stages[e.consumer].start_cycle)
-            .collect();
-        if windows.is_empty() {
+            .map(|e| stages[e.consumer].start_cycle);
+        let (Some(read_start), Some(last)) = (windows.clone().min(), windows.max()) else {
             continue;
-        }
+        };
         gates.push(BufferGate {
             buffer: bi,
-            read_start: *windows.iter().min().expect("non-empty"),
-            read_end: windows.iter().max().expect("non-empty") + net.frame,
+            read_start,
+            read_end: last + frame,
         });
     }
     GatingPlan { gates }
@@ -63,7 +75,7 @@ pub fn gating_plan(net: &Netlist) -> GatingPlan {
 
 /// Attaches a clock-gating plan to `net`: every line buffer's read port
 /// is gated to the union of its consumers' ILP windows
-/// ([`gating_plan`]).
+/// ([`gating_plan`] of its roster).
 ///
 /// The returned netlist is a full copy with:
 ///
@@ -79,7 +91,8 @@ pub fn gating_plan(net: &Netlist) -> GatingPlan {
 /// Gating an already-gated netlist re-derives the same plan (the pass
 /// is idempotent).
 pub fn gate_clocks(net: &Netlist) -> Netlist {
-    gate_clocks_with(net, gating_plan(net))
+    let plan = plan_gates(&net.stages, &net.edges, &net.buffers, net.frame);
+    gate_clocks_with(net, plan)
 }
 
 /// [`gate_clocks`] with an explicit plan — the hardware the plan

@@ -33,10 +33,10 @@
 //! * [`measure_pipeline`] / [`measure_netlist`] run both netlists on one
 //!   frame and return the paired reports ([`PowerMeasurement`]);
 //! * [`measure_design_point`] returns the same two energies for one point
-//!   of a design-space sweep, repricing a
-//!   [`DataTrace`] recorded once per sweep instead
-//!   of interpreting both netlists whenever the point passes the
-//!   structure-pass guard.
+//!   of a design-space sweep. A point that passes the structure-pass
+//!   guard is repriced from its roster (`imagen_rtl::build_roster`) and a
+//!   [`DataTrace`] recorded once per sweep; only a point outside the
+//!   guard has its netlist elaborated, and both variants interpreted.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -49,13 +49,14 @@ mod gate;
 pub use energy::{measure, measure_at, BufferEnergy, EnergyReport};
 pub use gate::{gate_clocks, gating_plan};
 
+use energy::{price, DatapathCost};
 use gate::gate_clocks_with;
 
 use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
     build_netlist, interpret_with_trace, BitWidths, DataTrace, GatingPlan, InterpError,
-    InterpReport, Netlist,
+    InterpReport, Netlist, Roster,
 };
 use imagen_sim::Image;
 
@@ -149,19 +150,26 @@ pub struct PointEnergy {
     pub gated_off_cycles: u64,
 }
 
-/// Measures `net` (which must be ungated) and `net` under `gating` on
-/// `inputs`: bit for bit the energies [`measure_netlist`] reports when
-/// `gating` is [`gating_plan`]`(net)`.
+/// Measures one design point ungated and under the clock-gating plan
+/// `gating` on `inputs`: bit for bit the energies [`measure_netlist`]
+/// reports for the point's netlist when `gating` is
+/// [`gating_plan`]`(roster)`.
 ///
-/// With `data` recorded for `net`'s datapath on these `inputs`, a point
-/// that passes the structure-pass guard for both variants
-/// ([`DataTrace::structure_trace`]) is measured without interpreting
-/// either netlist, whether its stages run at rate 1 or on resampled
-/// grids. Every other point — no data trace, a datapath (kernels,
-/// windows, widths or rate scales) other than the recorded one, a
-/// non-streamable schedule, or a gate window that zeroes a consumed
-/// load — interprets both, exactly as [`measure_netlist`] does,
-/// including its gated ≡ ungated output assertion.
+/// The point is `design`, scheduled from `dag`, with `roster` its
+/// [`imagen_rtl::build_roster`] at the widths to measure at; `elaborate`
+/// builds its netlist ([`build_netlist`] of the same three).
+///
+/// With `data` recorded for the point's datapath on these `inputs`, a
+/// point that passes the structure-pass guard
+/// ([`DataTrace::structure_traces`]) is measured from its roster alone —
+/// one structure pass for both variants, no netlist elaborated and none
+/// interpreted — whether its stages run at rate 1 or on resampled grids.
+/// Every other point — no data trace, a datapath (kernels, windows,
+/// widths or rate scales) other than the recorded one, a non-streamable
+/// schedule, or a gate window that zeroes a consumed load — calls
+/// `elaborate` and interprets both netlists, exactly as
+/// [`measure_netlist`] does, including its gated ≡ ungated output
+/// assertion.
 ///
 /// # Errors
 ///
@@ -171,27 +179,35 @@ pub struct PointEnergy {
 ///
 /// On the interpreting path, if gating changes any output pixel.
 pub fn measure_design_point(
-    net: &Netlist,
-    gating: &GatingPlan,
+    dag: &Dag,
+    roster: &Roster,
     design: &Design,
+    gating: &GatingPlan,
     inputs: &[Image],
     data: Option<&DataTrace>,
+    elaborate: impl FnOnce() -> Netlist,
 ) -> Result<PointEnergy, InterpError> {
     if let Some(data) = data {
-        if let Some(ungated) = data.structure_trace(net, None)? {
-            if let Some(gated) = data.structure_trace(net, Some(gating))? {
-                // Pricing reads the datapath widths and kernels, which
-                // gating leaves untouched: `net` prices both traces.
-                let gated = measure(net, design, &gated);
-                return Ok(PointEnergy {
-                    ungated: measure(net, design, &ungated),
-                    gated_off_cycles: gated.gated_off_cycles,
-                    gated,
-                });
-            }
+        if let Some((ungated, gated)) = data.structure_traces(dag, roster, gating)? {
+            // Gating leaves the datapath untouched: one cost prices both
+            // traces.
+            let cost = DatapathCost::of_dag(dag, &roster.widths);
+            let clock = imagen_mem::CLOCK_MHZ;
+            let gated = price(&cost, design, &gated, clock);
+            return Ok(PointEnergy {
+                ungated: price(&cost, design, &ungated, clock),
+                gated_off_cycles: gated.gated_off_cycles,
+                gated,
+            });
         }
     }
-    let pm = measure_pair(net, &gate_clocks_with(net, gating.clone()), design, inputs)?;
+    let net = elaborate();
+    let pm = measure_pair(
+        &net,
+        &gate_clocks_with(&net, gating.clone()),
+        design,
+        inputs,
+    )?;
     Ok(PointEnergy {
         gated_off_cycles: pm.gated_off_cycles(),
         ungated: pm.ungated,

@@ -62,9 +62,9 @@ pub use interp::{
     trunc, InterpError, InterpReport,
 };
 pub use netlist::{
-    build_netlist, sra_cells, sra_columns, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance,
-    Item, LineBufPayload, Module, ModuleKind, Net, NetBuffer, NetEdge, NetStage, Netlist,
-    StagePayload,
+    build_netlist, build_roster, sra_cells, sra_columns, BitWidths, BufferGate, Conn, Dir,
+    GatingPlan, Instance, Item, LineBufPayload, Module, ModuleKind, Net, NetBuffer, NetEdge,
+    NetStage, Netlist, Roster, StagePayload,
 };
 pub use program::{DataTrace, EvalProgram};
 pub use resources::{report_resources, report_resources_for, ResourceReport};

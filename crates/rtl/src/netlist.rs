@@ -21,7 +21,7 @@
 //! windows, buffer geometry, the ILP start cycles — that make the netlist
 //! executable and analyzable without re-deriving anything from the DAG.
 
-use imagen_ir::{Dag, Expr, StageId, StageKind, Window};
+use imagen_ir::{Dag, Expr, StageKind, Window};
 use imagen_mem::{Design, DesignStyle, ImageGeometry};
 
 /// Datapath bit widths of the generated hardware, set in exactly one
@@ -215,7 +215,7 @@ impl Module {
 }
 
 /// Per-stage control/schedule information mirrored into the netlist.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NetStage {
     /// Stage index in the DAG (= topological position).
     pub index: usize,
@@ -249,7 +249,7 @@ impl NetStage {
 }
 
 /// One producer→consumer stencil edge mirrored into the netlist.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NetEdge {
     /// Producer stage index.
     pub producer: usize,
@@ -262,7 +262,7 @@ pub struct NetEdge {
 }
 
 /// One planned line buffer mirrored into the netlist.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NetBuffer {
     /// Producer stage index owning the buffer.
     pub stage: usize,
@@ -430,6 +430,14 @@ impl Netlist {
     /// against the lowered DSL kernel.
     pub fn stage_kernel(&self, stage: usize) -> Option<&Expr> {
         self.stage_module(stage)?.stage_payload().map(|p| &p.kernel)
+    }
+
+    /// The kernel of compute module `module` (a [`NetStage::module`]).
+    pub(crate) fn module_kernel(&self, module: Option<usize>) -> Option<&Expr> {
+        module.map(|m| match &self.modules[m].kind {
+            ModuleKind::Stage(p) => &p.kernel,
+            other => unreachable!("stage module of wrong kind: {other:?}"),
+        })
     }
 
     /// Edges consumed by a stage: `(edge index, edge)`, in edge order.
@@ -751,21 +759,49 @@ fn linebuf_module(widths: &BitWidths, stage_name: &str, buf: &NetBuffer, buffer:
     }
 }
 
-/// Elaborates a scheduled design into a typed netlist.
-///
-/// The returned netlist is self-contained: it carries the schedule, the
-/// buffer geometry and the kernels, so every downstream consumer
-/// (emission, interpretation, verification, resource reporting) works
-/// from the netlist alone.
-pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist {
+/// The schedule/memory roster of a design: everything a [`Netlist`]
+/// mirrors of the schedule and the memories, without its modules —
+/// stages (start cycles, rate scales, stream roles), stencil edges, line
+/// buffers, frame size and completion cycle. [`build_netlist`] elaborates
+/// its netlist around [`build_roster`]'s roster, so the two always agree
+/// field for field; the structure pass of a measured sweep reads the
+/// roster alone.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Roster {
+    /// Frame geometry the design was compiled for.
+    pub geometry: ImageGeometry,
+    /// Datapath widths the roster was elaborated at.
+    pub widths: BitWidths,
+    /// Per-stage control information, in topological order
+    /// ([`NetStage::module`] indexes the modules [`build_netlist`]
+    /// elaborates).
+    pub stages: Vec<NetStage>,
+    /// Stencil edges in DAG edge order (slot order per consumer).
+    pub edges: Vec<NetEdge>,
+    /// Line buffers in design order.
+    pub buffers: Vec<NetBuffer>,
+    /// Pixels per frame (`width * height`).
+    pub frame: u64,
+    /// Cycle at which the last output pixel has streamed out.
+    pub done_cycle: u64,
+}
+
+/// Index of the first stage compute module in [`Netlist::modules`]: the
+/// single- and dual-port SRAM primitives come first.
+const FIRST_STAGE_MODULE: usize = 2;
+
+/// Derives the schedule/memory roster of a scheduled design — the
+/// netlist [`build_netlist`] elaborates, minus its modules.
+pub fn build_roster(dag: &Dag, design: &Design, widths: &BitWidths) -> Roster {
     let geom = design.geometry;
-    let p = widths.pixel_bits;
     let frame = geom.pixels();
 
-    // Stage roster with stream assignments.
+    // Stage roster with stream assignments; compute stages own the stage
+    // modules, in stage order after the SRAM primitives.
     let scales = dag.stage_scales();
     let mut stages: Vec<NetStage> = Vec::with_capacity(dag.num_stages());
     let mut in_idx = 0usize;
+    let mut next_module = FIRST_STAGE_MODULE;
     for (id, stage) in dag.stages() {
         let input_stream = if stage.is_input() {
             let k = in_idx;
@@ -774,13 +810,17 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         } else {
             None
         };
+        let module = matches!(stage.kind(), StageKind::Compute { .. }).then(|| {
+            next_module += 1;
+            next_module - 1
+        });
         let (scale_x, scale_y) = scales[id.index()];
         stages.push(NetStage {
             index: id.index(),
             name: stage.name().to_string(),
             sanitized: sanitize(stage.name()),
             input_stream,
-            module: None,
+            module,
             is_output: stage.is_output(),
             start_cycle: *design.start_cycles.get(id.index()).unwrap_or(&0),
             scale_x,
@@ -798,6 +838,75 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         })
         .collect();
 
+    // Line buffers, in design order; their modules follow the stage
+    // modules.
+    let buffers: Vec<NetBuffer> = design
+        .buffers
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            // Buffer rows hold the producer's own grid: W / scale_x words.
+            let buf_width = (u64::from(geom.width) / scales[plan.stage].0.max(1)) as u32;
+            let depth = macro_depth(plan.rows_per_block, buf_width);
+            NetBuffer {
+                stage: plan.stage,
+                module: next_module + i,
+                phys_rows: plan.phys_rows,
+                logical_rows: plan.logical_rows,
+                storage_rows: plan.phys_rows.max(plan.logical_rows).max(1),
+                blocks: plan.blocks.len().max(1),
+                phys_blocks: plan.blocks.len(),
+                ports: plan.blocks.first().map(|b| b.ports).unwrap_or(2),
+                rows_per_block: plan.rows_per_block,
+                blocks_per_row: plan.blocks_per_row,
+                block_capacity_bits: plan.blocks.first().map(|b| b.capacity_bits).unwrap_or(0),
+                fifo: plan
+                    .blocks
+                    .iter()
+                    .any(|b| b.role == imagen_mem::BlockRole::FifoSegment),
+                depth,
+                aw: depth.trailing_zeros().max(1),
+            }
+        })
+        .collect();
+
+    let done_cycle = stages
+        .iter()
+        .filter(|s| s.is_output)
+        .map(|s| s.start_cycle + frame)
+        .max()
+        .unwrap_or(frame);
+
+    Roster {
+        geometry: geom,
+        widths: *widths,
+        stages,
+        edges,
+        buffers,
+        frame,
+        done_cycle,
+    }
+}
+
+/// Elaborates a scheduled design into a typed netlist.
+///
+/// The returned netlist is self-contained: it carries the schedule, the
+/// buffer geometry and the kernels, so every downstream consumer
+/// (emission, interpretation, verification, resource reporting) works
+/// from the netlist alone. Its schedule and memories are
+/// [`build_roster`]'s roster of the same design.
+pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist {
+    let p = widths.pixel_bits;
+    let Roster {
+        geometry: geom,
+        widths: _,
+        stages,
+        edges,
+        buffers,
+        frame,
+        done_cycle,
+    } = build_roster(dag, design, widths);
+
     let mut modules = vec![sram_primitive(1), sram_primitive(2)];
 
     // Stage compute modules, in stage order.
@@ -812,7 +921,7 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
                     .expect("edge per slot");
                 windows.push(w);
             }
-            stages[id.index()].module = Some(modules.len());
+            debug_assert_eq!(stages[id.index()].module, Some(modules.len()));
             modules.push(stage_module(
                 widths,
                 stage.name(),
@@ -826,45 +935,10 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
     }
 
     // Line-buffer modules, in design order.
-    let mut buffers: Vec<NetBuffer> = Vec::with_capacity(design.buffers.len());
-    for plan in &design.buffers {
-        let stage_name = dag
-            .stage(StageId::from_index(plan.stage))
-            .name()
-            .to_string();
-        // Buffer rows hold the producer's own grid: W / scale_x words.
-        let buf_width = (u64::from(geom.width) / scales[plan.stage].0.max(1)) as u32;
-        let depth = macro_depth(plan.rows_per_block, buf_width);
-        let buf = NetBuffer {
-            stage: plan.stage,
-            module: modules.len(),
-            phys_rows: plan.phys_rows,
-            logical_rows: plan.logical_rows,
-            storage_rows: plan.phys_rows.max(plan.logical_rows).max(1),
-            blocks: plan.blocks.len().max(1),
-            phys_blocks: plan.blocks.len(),
-            ports: plan.blocks.first().map(|b| b.ports).unwrap_or(2),
-            rows_per_block: plan.rows_per_block,
-            blocks_per_row: plan.blocks_per_row,
-            block_capacity_bits: plan.blocks.first().map(|b| b.capacity_bits).unwrap_or(0),
-            fifo: plan
-                .blocks
-                .iter()
-                .any(|b| b.role == imagen_mem::BlockRole::FifoSegment),
-            depth,
-            aw: depth.trailing_zeros().max(1),
-        };
-        let m = linebuf_module(widths, &stage_name, &buf, buffers.len());
-        buffers.push(buf);
-        modules.push(m);
+    for (bi, buf) in buffers.iter().enumerate() {
+        debug_assert_eq!(buf.module, modules.len());
+        modules.push(linebuf_module(widths, &stages[buf.stage].name, buf, bi));
     }
-
-    let done_cycle = stages
-        .iter()
-        .filter(|s| s.is_output)
-        .map(|s| s.start_cycle + frame)
-        .max()
-        .unwrap_or(frame);
 
     // Top module.
     let mut nets = vec![
@@ -968,8 +1042,7 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
             conns,
         }));
     }
-    for (k, s) in stages.iter().filter(|s| s.is_output).enumerate() {
-        let _ = s;
+    for k in 0..n_outputs {
         items.push(Item::Assign {
             net: format!("stream_out_{k}"),
         });

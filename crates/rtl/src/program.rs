@@ -41,19 +41,25 @@
 //!   sums of every load stream, keyed by *(producer stage, row offset
 //!   `lag + j`, consumer row cadence)*, with the last loads' toggles kept
 //!   for the retirement-tail term of the delay-line identity. The
-//!   *structure pass* ([`DataTrace::structure_trace`]) depends only on
-//!   the schedule and the memory organisation: start cycles, bank layout
-//!   and gate windows feed the block sweep and the closed forms, and the
-//!   SRA toggles are reassembled from the cached sums at each edge's
-//!   window height and SRA width. It evaluates no tape, allocates no
-//!   image and runs no per-pixel or per-cycle loop, so a design-space
+//!   *structure pass* ([`DataTrace::structure_traces`]) depends only on
+//!   the schedule and the memory organisation, and is lowered from a
+//!   point's [`Roster`] ([`crate::build_roster`]: stages, edges and line
+//!   buffers, no modules), so a swept point elaborates no netlist: start
+//!   cycles and bank layout feed the block sweep and the closed forms,
+//!   and the SRA toggles are reassembled from the cached sums at each
+//!   edge's window height and SRA width. It evaluates no tape, allocates
+//!   no image and runs no per-pixel or per-cycle loop, so a design-space
 //!   sweep pays for the data pass once and for the structure pass per
-//!   point. A point takes the structure pass only under a guard proved
-//!   for that point: its datapath equals the recorded one, its schedule
-//!   is streamable, and every gate window covers all of each edge's load
-//!   cycles (so no load is zeroed and the gated pixels equal the ungated
-//!   ones). Any other point returns `None` and goes through the full
-//!   traced run;
+//!   point. One structure pass serves both gating variants of a point:
+//!   under the guard no load is gated off, so the block sweep is the
+//!   same gated or not, and the gated trace differs from the ungated one
+//!   only in each buffer's read-port duty (enabled, idle and gated-off
+//!   cycles), recomputed in closed form for its gate window. A point
+//!   takes the structure pass only under a guard proved for that point:
+//!   its datapath equals the recorded one, its schedule is streamable,
+//!   and every gate window covers all of each edge's load cycles (so no
+//!   load is zeroed and the gated pixels equal the ungated ones). Any
+//!   other point returns `None` and goes through the full traced run;
 //! * **per-stage grids** — pipelines with `downsample`/`upsample` stages
 //!   keep the frame-at-a-time streaming order but run each stage over its
 //!   *own* grid (`W/cx × H/cy`), stepping taps through the producer's
@@ -86,18 +92,23 @@
 //! legacy path on the whole algorithm corpus, a pyramid and generated
 //! pipelines (half of them multirate) at both width regimes, gated and
 //! ungated; `tests/activity_golden.rs` pins both against the walker's
-//! frozen traces of the example corpus. The structure pass is pinned the
-//! same way against [`crate::interpret_with_trace`] on every point of
-//! every example sweep, pyramids included
-//! (`crates/dse/tests/measure_once.rs`).
+//! frozen traces of the example corpus. Both halves of the structure
+//! pass are pinned the same way against [`crate::interpret_with_trace`],
+//! ungated and gated, on every point of every example sweep, pyramids
+//! included (`crates/dse/tests/measure_once.rs`), and the roster it
+//! reads against the netlist's schedule and buffers
+//! (`tests/roster_equivalence.rs`).
 //!
 //! [`DataTrace::record`]: crate::DataTrace::record
-//! [`DataTrace::structure_trace`]: crate::DataTrace::structure_trace
+//! [`DataTrace::structure_traces`]: crate::DataTrace::structure_traces
 
 use crate::activity::ActivityTrace;
 use crate::interp::{trunc, InterpError, InterpReport};
-use crate::netlist::{sra_columns, GatingPlan, ModuleKind, NetBuffer, Netlist};
+use crate::netlist::{
+    sra_columns, BitWidths, GatingPlan, NetBuffer, NetEdge, NetStage, Netlist, Roster,
+};
 use imagen_ir::{BinOp, CmpOp, Expr};
+use imagen_mem::ImageGeometry;
 use imagen_sim::Image;
 use std::collections::HashMap;
 
@@ -728,13 +739,115 @@ struct StageProg {
 #[derive(Clone, Debug)]
 struct BufMeta {
     nb: NetBuffer,
-    read_enabled_cycles: u64,
-    idle_read_cycles: u64,
-    gated_off_cycles: u64,
+    /// The buffer's read-port duty under its gate window
+    /// ([`BufMeta::duty`]).
+    duty: ReadDuty,
+    /// The cycles its consumer edges load on, as sorted [`loaded_cycles`]
+    /// runs: the only input of the duty besides the gate window.
+    loads: Vec<(u64, u64, u64)>,
+    /// The buffer's column cadence (its producer's horizontal scale), the
+    /// step of the `loads` runs.
+    pcx: u64,
     /// Base-raster columns at which the bank segment of the buffer's own
     /// grid column changes (only populated when `blocks_per_row > 1`),
     /// used as span cuts by the block sweep.
     seg_cuts: Vec<u64>,
+}
+
+/// The read-port duty of one line buffer over a run: cycles the port is
+/// enabled, enabled cycles on which no consumer edge loads, and cycles
+/// its gate holds it off.
+#[derive(Clone, Copy, Default, Debug)]
+struct ReadDuty {
+    read_enabled_cycles: u64,
+    idle_read_cycles: u64,
+    gated_off_cycles: u64,
+}
+
+impl BufMeta {
+    /// The closed-form read-port duty over a run ending at `end`, with
+    /// the read port gated to `gate` (enabled throughout when `None`).
+    /// The enabled cycles are the gate window; a cycle is *idle* when the
+    /// port is enabled but no consumer edge loads — exactly the legacy
+    /// `consumed` bookkeeping, folded into interval arithmetic. Only
+    /// buffers with allocated, non-FIFO blocks count enabled and idle
+    /// cycles.
+    fn duty(&self, gate: Option<(u64, u64)>, end: u64) -> ReadDuty {
+        let nb = &self.nb;
+        let track = nb.phys_blocks > 0 && !nb.fifo;
+        let (en_lo, en_hi) = match gate {
+            Some((gs, ge)) => (gs.min(end), ge.min(end)),
+            None => (0, end),
+        };
+        let read_enabled_cycles = en_hi - en_lo;
+        ReadDuty {
+            read_enabled_cycles: if track { read_enabled_cycles } else { 0 },
+            idle_read_cycles: if track {
+                read_enabled_cycles - loaded_cycles(en_lo, en_hi, &self.loads, self.pcx)
+            } else {
+                0
+            },
+            gated_off_cycles: gate.map_or(0, |_| end - en_hi.saturating_sub(en_lo)),
+        }
+    }
+}
+
+/// The schedule/memory roster a program is lowered from, borrowed from a
+/// [`Netlist`] or from a [`Roster`] (the same fields either way).
+#[derive(Clone, Copy)]
+pub(crate) struct RosterRef<'a> {
+    geometry: ImageGeometry,
+    widths: BitWidths,
+    stages: &'a [NetStage],
+    edges: &'a [NetEdge],
+    buffers: &'a [NetBuffer],
+    frame: u64,
+    done_cycle: u64,
+}
+
+impl<'a> From<&'a Netlist> for RosterRef<'a> {
+    fn from(net: &'a Netlist) -> RosterRef<'a> {
+        RosterRef {
+            geometry: net.geometry,
+            widths: net.widths,
+            stages: &net.stages,
+            edges: &net.edges,
+            buffers: &net.buffers,
+            frame: net.frame,
+            done_cycle: net.done_cycle,
+        }
+    }
+}
+
+impl<'a> From<&'a Roster> for RosterRef<'a> {
+    fn from(r: &'a Roster) -> RosterRef<'a> {
+        RosterRef {
+            geometry: r.geometry,
+            widths: r.widths,
+            stages: &r.stages,
+            edges: &r.edges,
+            buffers: &r.buffers,
+            frame: r.frame,
+            done_cycle: r.done_cycle,
+        }
+    }
+}
+
+/// Per-buffer read-enable windows of `gating` (FIFO chains are
+/// dataflow-clocked; the gating pass never targets them — same filter as
+/// the legacy path).
+pub(crate) fn gate_windows(
+    buffers: &[NetBuffer],
+    gating: Option<&GatingPlan>,
+) -> Vec<Option<(u64, u64)>> {
+    (0..buffers.len())
+        .map(|i| {
+            gating
+                .and_then(|g| g.gate_for(i))
+                .filter(|_| !buffers[i].fifo)
+                .map(|g| (g.read_start, g.read_end))
+        })
+        .collect()
 }
 
 /// A [`Netlist`] lowered to a flat evaluation program.
@@ -791,11 +904,10 @@ pub struct EvalProgram {
 
 /// Cycles of `[lo, hi)` in which at least one of `runs` loads, used for
 /// the closed-form idle-read accounting. A run `(phase, start, end)`
-/// loads on the cycles `t ≡ phase (mod step)` of `[start, end)`; runs of
-/// one phase are merged into a union, and phases are disjoint. With
-/// `step == 1` this is the plain clipped union length.
-fn loaded_cycles(lo: u64, hi: u64, runs: &mut [(u64, u64, u64)], step: u64) -> u64 {
-    runs.sort_unstable();
+/// loads on the cycles `t ≡ phase (mod step)` of `[start, end)`; runs
+/// (sorted) of one phase are merged into a union, and phases are
+/// disjoint. With `step == 1` this is the plain clipped union length.
+fn loaded_cycles(lo: u64, hi: u64, runs: &[(u64, u64, u64)], step: u64) -> u64 {
     let mut covered = 0u64;
     let mut class = None;
     let mut cursor = lo;
@@ -832,19 +944,22 @@ impl EvalProgram {
     /// performs up front).
     pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
         let _s = imagen_obs::span("program.build");
-        EvalProgram::lower(net, net.gating.as_ref(), true)
+        EvalProgram::lower(net.into(), net.gating.as_ref(), Some(net))
     }
 
-    /// Lowers `net` under the clock-gating plan `gating` (`net.gating` is
-    /// not consulted). With `tapes == false` only the structure is
-    /// lowered — schedule, edges, buffer metadata and closed forms — for
-    /// the structure pass: kernels stay unlinearized and no fallback copy
-    /// is kept, so such a program must never be executed.
+    /// Lowers the roster `net` under the clock-gating plan `gating` (a
+    /// netlist's own `gating` is not consulted). `executable` is the
+    /// netlist of that roster when the program will run: its kernels are
+    /// linearized and it is kept as the fallback of a non-streamable
+    /// schedule. With `None` only the structure is lowered — schedule,
+    /// edges, buffer metadata and closed forms — for the structure pass,
+    /// so such a program must never be executed.
     pub(crate) fn lower(
-        net: &Netlist,
+        net: RosterRef<'_>,
         gating: Option<&GatingPlan>,
-        tapes: bool,
+        executable: Option<&Netlist>,
     ) -> Result<EvalProgram, InterpError> {
+        let tapes = executable.is_some();
         let geom = net.geometry;
         let (w, h) = (geom.width as i64, geom.height as i64);
         let frame = net.frame;
@@ -853,23 +968,13 @@ impl EvalProgram {
         for (i, b) in net.buffers.iter().enumerate() {
             bufidx_of_stage[b.stage] = Some(i);
         }
-        for e in &net.edges {
+        for e in net.edges {
             if bufidx_of_stage[e.producer].is_none() {
                 return Err(InterpError::MissingBuffer { stage: e.producer });
             }
         }
 
-        // Per-buffer gate windows (FIFO chains are dataflow-clocked; the
-        // gating pass never targets them — same filter as the legacy
-        // path).
-        let gates: Vec<Option<(u64, u64)>> = (0..net.buffers.len())
-            .map(|i| {
-                gating
-                    .and_then(|g| g.gate_for(i))
-                    .filter(|_| !net.buffers[i].fifo)
-                    .map(|g| (g.read_start, g.read_end))
-            })
-            .collect();
+        let gates = gate_windows(net.buffers, gating);
 
         // Stage order: sorted by ILP start cycle, so producers stream
         // before their consumers (the write-lead margin below proves the
@@ -877,11 +982,7 @@ impl EvalProgram {
         let mut order: Vec<usize> = (0..net.stages.len()).collect();
         order.sort_by_key(|&i| (net.stages[i].start_cycle, i));
 
-        let streams = net.input_streams();
-        let mut input_of: Vec<Option<usize>> = vec![None; net.stages.len()];
-        for (k, stage, _) in &streams {
-            input_of[*stage] = Some(*k);
-        }
+        let input_of: Vec<Option<usize>> = net.stages.iter().map(|s| s.input_stream).collect();
 
         let outputs: Vec<usize> = net
             .stages
@@ -917,7 +1018,7 @@ impl EvalProgram {
         let mut streamable = scale_of.iter().all(|&(sx, sy)| {
             (sx, sy) == (1, 1) || ((w as u64).is_multiple_of(sx) && (h as u64).is_multiple_of(sy))
         });
-        for e in &net.edges {
+        for e in net.edges {
             let sc = net.stages[e.consumer].start_cycle as i64;
             let sp = net.stages[e.producer].start_cycle as i64;
             let lag = e.window.lag as i64;
@@ -1014,12 +1115,9 @@ impl EvalProgram {
             let edge_range = first_edge..edges.len();
 
             // Linearize the kernel; taps resolve to (virtual row, dx).
-            let kernel = s.module.map(|m| match &net.modules[m].kind {
-                ModuleKind::Stage(p) => &p.kernel,
-                other => unreachable!("stage module of wrong kind: {other:?}"),
-            });
+            let kernel = executable.and_then(|x| x.module_kernel(s.module));
             let tape = match kernel {
-                Some(k) if tapes => {
+                Some(k) => {
                     let mut tb = TapeBuilder::default();
                     let root = tb.lower(k, &|slot, dx, dy| {
                         let le = &edges[edge_range.start + slot_local[slot]];
@@ -1069,11 +1167,8 @@ impl EvalProgram {
             .map(|&(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end)))
             .sum();
 
-        // Per-buffer closed-form read-port duty: enabled cycles are the
-        // gate window (whole run when ungated); a cycle is *idle* when
-        // the port is enabled but no consumer edge loads — exactly the
-        // legacy `consumed` bookkeeping, folded into interval arithmetic.
-        // An edge loads on its consumer's rows `y % ccy == 0`, at base
+        // Per-buffer closed-form read-port duty ([`BufMeta::duty`]). An
+        // edge loads on its consumer's rows `y % ccy == 0`, at base
         // cycles congruent to the consumer's start modulo the producer's
         // column cadence `pcx` (shared by every edge of one buffer), so
         // the union is taken per residue class; a rate-1 edge's loads
@@ -1083,23 +1178,17 @@ impl EvalProgram {
             .iter()
             .enumerate()
             .map(|(i, nb)| {
-                let track = nb.phys_blocks > 0 && !nb.fifo;
-                let (en_lo, en_hi) = match gates[i] {
-                    Some((gs, ge)) => (gs.min(end), ge.min(end)),
-                    None => (0, end),
-                };
-                let read_enabled_cycles = en_hi - en_lo;
                 let pcx = scale_of[nb.stage].0;
-                let mut consumers: Vec<(u64, u64, u64)> = Vec::new();
-                for e in &net.edges {
+                let mut loads: Vec<(u64, u64, u64)> = Vec::new();
+                for e in net.edges {
                     if bufidx_of_stage[e.producer] == Some(i) {
                         let cs = net.stages[e.consumer].start_cycle;
                         let ccy = scale_of[e.consumer].1;
                         if ccy == 1 {
-                            consumers.push((cs % pcx, cs, cs + frame));
+                            loads.push((cs % pcx, cs, cs + frame));
                         } else {
                             let (gw, gh) = (geom.width as u64, geom.height as u64);
-                            consumers.extend(
+                            loads.extend(
                                 (0..gh)
                                     .step_by(ccy as usize)
                                     .map(|y| (cs % pcx, cs + y * gw, cs + (y + 1) * gw)),
@@ -1107,7 +1196,7 @@ impl EvalProgram {
                         }
                     }
                 }
-                let consumed = loaded_cycles(en_lo, en_hi, &mut consumers, pcx);
+                loads.sort_unstable();
                 let mut seg_cuts = Vec::new();
                 if nb.blocks_per_row > 1 {
                     let cap = nb.block_capacity_bits.max(1);
@@ -1120,18 +1209,15 @@ impl EvalProgram {
                         }
                     }
                 }
-                BufMeta {
+                let mut meta = BufMeta {
                     nb: nb.clone(),
-                    read_enabled_cycles: if track { read_enabled_cycles } else { 0 },
-                    idle_read_cycles: if track {
-                        read_enabled_cycles - consumed
-                    } else {
-                        0
-                    },
-                    gated_off_cycles: gates[i]
-                        .map_or(0, |(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end))),
+                    duty: ReadDuty::default(),
+                    loads,
+                    pcx,
                     seg_cuts,
-                }
+                };
+                meta.duty = meta.duty(gates[i], end);
+                meta
             })
             .collect();
 
@@ -1146,7 +1232,7 @@ impl EvalProgram {
             pixel: net.widths.pixel_bits,
             acc: net.widths.acc_bits,
             geom_pixel_bits: geom.pixel_bits,
-            n_inputs: streams.len(),
+            n_inputs: input_of.iter().flatten().count(),
             stages,
             edges,
             buffers,
@@ -1160,7 +1246,9 @@ impl EvalProgram {
             gated_off_cycles,
             scale_of,
             streamable,
-            fallback: (tapes && !streamable).then(|| Box::new(net.clone())),
+            fallback: executable
+                .filter(|_| !streamable)
+                .map(|x| Box::new(x.clone())),
         })
     }
 
@@ -1713,9 +1801,9 @@ impl EvalProgram {
                 block_reads: tr.block_reads[bi].clone(),
                 block_writes: tr.block_writes[bi].clone(),
                 block_peaks: tr.block_peaks[bi].clone(),
-                read_enabled_cycles: meta.read_enabled_cycles,
-                idle_read_cycles: meta.idle_read_cycles,
-                gated_off_cycles: meta.gated_off_cycles,
+                read_enabled_cycles: meta.duty.read_enabled_cycles,
+                idle_read_cycles: meta.duty.idle_read_cycles,
+                gated_off_cycles: meta.duty.gated_off_cycles,
                 fifo: nb.fifo,
             };
             if nb.fifo {

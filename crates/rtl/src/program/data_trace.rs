@@ -1,19 +1,20 @@
 //! Measure once, reprice per point: the data pass and the structure pass
 //! of a traced run (see the parent module docs).
 //!
-//! A design-space sweep interprets many netlists that share one datapath
+//! A design-space sweep measures many designs that share one datapath
 //! — the same kernels, windows and widths on the same stimulus — and
 //! differ only in schedule, bank organisation and gate windows. The
 //! data-dependent half of a traced run is therefore identical at every
-//! point. [`DataTrace::record`] runs it once; [`DataTrace::structure_trace`]
-//! reassembles each point's full [`ActivityTrace`] from it without
-//! evaluating a kernel.
+//! point. [`DataTrace::record`] runs it once on one netlist;
+//! [`DataTrace::structure_traces`] reassembles each point's full
+//! [`ActivityTrace`]s, ungated and gated, from it and the point's
+//! [`Roster`] without evaluating a kernel or elaborating a netlist.
 
-use super::{EdgeProg, EvalProgram, TraceAcc};
+use super::{gate_windows, EdgeProg, EvalProgram, RosterRef, TraceAcc};
 use crate::activity::ActivityTrace;
 use crate::interp::InterpError;
-use crate::netlist::{GatingPlan, ModuleKind, Netlist};
-use imagen_ir::{Expr, Window};
+use crate::netlist::{GatingPlan, NetStage, Netlist, Roster};
+use imagen_ir::{Dag, Expr, StageId, StageKind, Window};
 use imagen_sim::Image;
 use std::collections::HashMap;
 
@@ -34,14 +35,15 @@ struct LoadSums {
     tail: Vec<u32>,
 }
 
-/// One netlist stage's share of a [`Datapath`]: input stream, kernel of
+/// One roster stage's share of a [`Datapath`]: input stream, kernel of
 /// compute stages, and cumulative rate scale (which fixes the stage's
 /// grid and cadence).
 type StageDatapath = (Option<usize>, Option<Expr>, (u64, u64));
 
 /// The datapath a [`DataTrace`] was recorded from: everything the stage
-/// images depend on besides the stimulus. A point whose netlist matches
-/// it computes the same images, whatever its schedule or memories.
+/// images depend on besides the stimulus. A point whose roster and
+/// kernels match it computes the same images, whatever its schedule or
+/// memories.
 #[derive(Debug)]
 struct Datapath {
     width: u32,
@@ -49,16 +51,8 @@ struct Datapath {
     pixel_bits: u32,
     acc_bits: u32,
     stages: Vec<StageDatapath>,
-    /// Per netlist edge: producer, consumer, kernel slot and window.
+    /// Per roster edge: producer, consumer, kernel slot and window.
     edges: Vec<(usize, usize, usize, Window)>,
-}
-
-/// The kernel of a netlist stage's compute module, if it has one.
-fn kernel_of(net: &Netlist, module: Option<usize>) -> Option<&Expr> {
-    module.map(|m| match &net.modules[m].kind {
-        ModuleKind::Stage(p) => &p.kernel,
-        other => unreachable!("stage module of wrong kind: {other:?}"),
-    })
 }
 
 impl Datapath {
@@ -74,7 +68,7 @@ impl Datapath {
                 .map(|s| {
                     (
                         s.input_stream,
-                        kernel_of(net, s.module).cloned(),
+                        net.module_kernel(s.module).cloned(),
                         (s.scale_x, s.scale_y),
                     )
                 })
@@ -87,7 +81,13 @@ impl Datapath {
         }
     }
 
-    fn matches(&self, net: &Netlist) -> bool {
+    /// Whether the roster `net` of a design scheduled from `dag` has this
+    /// datapath.
+    fn matches(&self, dag: &Dag, net: &Roster) -> bool {
+        let kernel = |s: &NetStage| match dag.stage(StageId::from_index(s.index)).kind() {
+            StageKind::Compute { kernel } => Some(kernel),
+            StageKind::Input => None,
+        };
         self.width == net.geometry.width
             && self.height == net.geometry.height
             && self.pixel_bits == net.widths.pixel_bits
@@ -97,9 +97,9 @@ impl Datapath {
                 .stages
                 .iter()
                 .zip(&net.stages)
-                .all(|((input, kernel, scale), s)| {
+                .all(|((input, want, scale), s)| {
                     *input == s.input_stream
-                        && kernel.as_ref() == kernel_of(net, s.module)
+                        && want.as_ref() == kernel(s)
                         && *scale == (s.scale_x, s.scale_y)
                 })
             && self.edges.len() == net.edges.len()
@@ -121,9 +121,10 @@ impl Datapath {
 /// Multirate datapaths are covered: images, toggle chains and load
 /// streams all live on each stage's own grid.
 ///
-/// Hold one for the duration of a sweep and reprice every point with
-/// [`DataTrace::structure_trace`]. It is immutable, so worker threads
-/// share it by reference.
+/// Record it from one netlist, hold it for the duration of a sweep and
+/// reprice every point, ungated and gated, from the point's [`Roster`]
+/// with [`DataTrace::structure_traces`]. It is immutable, so worker
+/// threads share it by reference.
 #[derive(Debug)]
 pub struct DataTrace {
     datapath: Datapath,
@@ -145,7 +146,7 @@ impl DataTrace {
     /// [`InterpError`] on a missing line buffer or on input count or
     /// geometry mismatch.
     pub fn record(net: &Netlist, inputs: &[Image]) -> Result<Option<DataTrace>, InterpError> {
-        let prog = EvalProgram::lower(net, None, true)?;
+        let prog = EvalProgram::lower(net.into(), None, Some(net))?;
         if !prog.streamable {
             return Ok(None);
         }
@@ -173,34 +174,45 @@ impl DataTrace {
         }))
     }
 
-    /// The structure pass: the [`ActivityTrace`] that
-    /// [`crate::interpret_with_trace`] returns for `net` with the
-    /// clock-gating plan `gating` attached (`net.gating` is not
-    /// consulted), assembled from the recorded sums plus `net`'s
-    /// schedule and memories — no kernel is evaluated.
+    /// The structure pass of one design point, for both gating variants:
+    /// the [`ActivityTrace`]s that [`crate::interpret_with_trace`]
+    /// returns for the point's netlist ungated and with the clock-gating
+    /// plan `gating` attached, in that order. They are assembled from
+    /// the recorded sums plus the point's [`Roster`] (its schedule and
+    /// memories, [`crate::build_roster`]) and the kernels of `dag`, the
+    /// DAG the roster was derived from — no netlist is elaborated and no
+    /// kernel is evaluated.
     ///
-    /// Returns `Ok(None)` unless the guard holds for this point: `net`'s
+    /// One structure lowering and one block sweep serve both variants:
+    /// under the guard no load is gated off, so the gated trace is the
+    /// ungated one with only each buffer's gate-dependent closed forms
+    /// (`read_enabled_cycles`, `idle_read_cycles`, `gated_off_cycles`)
+    /// recomputed for its gate window.
+    ///
+    /// Returns `Ok(None)` unless the guard holds for this point: its
     /// datapath equals the recorded one (kernels, windows, widths and
-    /// every stage's rate scale), its schedule is streamable, and no gate
-    /// window zeroes a consumed load. Under the guard the point's stage
-    /// images are the recorded ones, gated or not, so the trace is
-    /// identical field for field — for rate-1 and multirate pipelines
-    /// alike.
+    /// every stage's rate scale), its schedule is streamable, and every
+    /// gate window of `gating` covers all of its buffer's load cycles.
+    /// Under the guard the point's stage images are the recorded ones,
+    /// gated or not, so both traces are identical field for field — for
+    /// rate-1 and multirate pipelines alike.
     ///
     /// # Errors
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
     /// line buffer.
-    pub fn structure_trace(
+    pub fn structure_traces(
         &self,
-        net: &Netlist,
-        gating: Option<&GatingPlan>,
-    ) -> Result<Option<ActivityTrace>, InterpError> {
-        if !self.datapath.matches(net) {
+        dag: &Dag,
+        roster: &Roster,
+        gating: &GatingPlan,
+    ) -> Result<Option<(ActivityTrace, ActivityTrace)>, InterpError> {
+        if !self.datapath.matches(dag, roster) {
             return Ok(None);
         }
-        let prog = EvalProgram::lower(net, gating, false)?;
-        if !prog.streamable || !prog.gates_cover_loads() {
+        let prog = EvalProgram::lower(RosterRef::from(roster), None, None)?;
+        let gates = gate_windows(&roster.buffers, Some(gating));
+        if !prog.streamable || !prog.gates_cover_loads(&gates) {
             return Ok(None);
         }
         let mut tr = TraceAcc::for_program(&prog);
@@ -216,7 +228,15 @@ impl DataTrace {
             }
         }
         prog.block_sweep(&mut tr);
-        Ok(Some(prog.assemble_trace(tr)))
+        let ungated = prog.assemble_trace(tr);
+        let mut gated = ungated.clone();
+        for ((b, meta), &gate) in gated.buffers.iter_mut().zip(&prog.buffers).zip(&gates) {
+            let duty = meta.duty(gate, prog.end);
+            b.read_enabled_cycles = duty.read_enabled_cycles;
+            b.idle_read_cycles = duty.idle_read_cycles;
+            b.gated_off_cycles = duty.gated_off_cycles;
+        }
+        Ok(Some((ungated, gated)))
     }
 
     /// [`EvalProgram::edge_bit_toggles`] of an edge none of whose loads
@@ -250,11 +270,12 @@ impl EvalProgram {
     /// load cycles, so no load is zeroed. An edge loads from its
     /// consumer's first row (at the consumer's start cycle) to the last
     /// producer column of its last active row `⌊(H-1)/ccy⌋·ccy`.
-    fn gates_cover_loads(&self) -> bool {
+    /// `gates` holds the read-enable window of each buffer.
+    fn gates_cover_loads(&self, gates: &[Option<(u64, u64)>]) -> bool {
         let w = self.w as u64;
         self.stages.iter().all(|st| {
             self.edges[st.edges.clone()].iter().all(|ep| {
-                ep.gate.is_none_or(|(gs, ge)| {
+                gates[ep.buf].is_none_or(|(gs, ge)| {
                     let pcx = ep.pscale.0;
                     let last_row = (self.h as u64 - 1) / ep.ccy * ep.ccy;
                     let last = st.start + last_row * w + (ep.pw as u64 - 1) * pcx;
