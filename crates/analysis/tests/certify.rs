@@ -16,13 +16,20 @@
 //!    constant, a shrunk window, a hoisted start cycle, an undersized
 //!    rotation, a chopped clock gate) are each refuted with a concrete
 //!    witness, and the kernel mutation is confirmed to genuinely
-//!    diverge in the interpreter.
+//!    diverge in the interpreter. The schedule mutations (a consumer
+//!    started too early or too late, a rotation too short) are also
+//!    refused by every executing entry point with the typed
+//!    `InterpError::NotStreamable`, as is a rate scale that does not
+//!    divide the frame.
 
 use imagen_algos::{noise_bits, Algorithm};
 use imagen_analysis::{certify_dag, certify_netlist, AnalysisOptions, ProofStatus};
 use imagen_ir::Expr;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-use imagen_rtl::{build_netlist, interpret, BitWidths, ModuleKind, Netlist};
+use imagen_rtl::{
+    build_netlist, interpret, interpret_with_trace, BitWidths, DataTrace, EvalProgram, InterpError,
+    ModuleKind, NetEdge, Netlist,
+};
 use imagen_schedule::{plan_design, Plan, ScheduleOptions};
 use imagen_sim::{execute, Image};
 
@@ -234,6 +241,7 @@ fn hoisted_consumer_start_is_refuted_as_stale_read() {
     }
     let cert = certify_netlist(&plan.dag, &bad, &options());
     assert!(refuted_codes(&cert).contains(&"E0504"), "{}", cert.render());
+    assert_not_streamable(&bad, None);
 }
 
 #[test]
@@ -250,6 +258,96 @@ fn shrunk_rotation_is_refuted_as_clobbered_row() {
     // A 1-row rotation either clobbers a live row (E0505) or cannot be
     // fresh at all; on this schedule it is the clobber.
     assert!(refuted_codes(&cert).contains(&"E0505"), "{}", cert.render());
+    assert_not_streamable(&bad, None);
+}
+
+/// Asserts that the compiled program and every entry point running it
+/// refuse `net` with [`InterpError::NotStreamable`], naming `stage` when
+/// given.
+fn assert_not_streamable(net: &Netlist, stage: Option<usize>) {
+    let inputs: Vec<Image> = (0..net.input_streams().len())
+        .map(|k| {
+            Image::from_fn(geom().width, geom().height, |x, y| {
+                noise_bits(5 + k as u64, x, y, 7)
+            })
+        })
+        .collect();
+    let refused = |what: &str, r: Result<(), InterpError>| match r {
+        Err(InterpError::NotStreamable { stage: got }) => {
+            if let Some(want) = stage {
+                assert_eq!(got, want, "{what}: refused stage");
+            }
+        }
+        other => panic!("{what}: expected NotStreamable, got {other:?}"),
+    };
+    refused("EvalProgram::compile", EvalProgram::compile(net).map(drop));
+    refused("interpret", interpret(net, &inputs).map(drop));
+    refused(
+        "interpret_with_trace",
+        interpret_with_trace(net, &inputs).map(drop),
+    );
+    refused(
+        "DataTrace::record",
+        DataTrace::record(net, &inputs).map(drop),
+    );
+}
+
+/// A multi-row edge of Unsharp-m's planner netlist, and the rows the
+/// producer's rotating buffer keeps.
+fn unsharp_edge() -> (Plan, Netlist, NetEdge, u64) {
+    let (plan, net) = netlist_of(Algorithm::UnsharpM, &BitWidths::default());
+    let e = net
+        .edges
+        .iter()
+        .find(|e| e.window.height > 1)
+        .expect("a multi-row edge")
+        .clone();
+    let rows = net
+        .buffer_of_stage(e.producer)
+        .expect("a buffer")
+        .1
+        .storage_rows as u64;
+    (plan, net, e, rows)
+}
+
+#[test]
+fn consumer_pulled_before_its_write_lead_is_stale_and_not_streamable() {
+    // The consumer loads the window's last row in the very cycle the
+    // producer writes it: a write lead of 0 instead of at least 1.
+    let (plan, mut bad, e, _) = unsharp_edge();
+    let w = geom().width as u64;
+    let sp = bad.stages[e.producer].start_cycle;
+    bad.stages[e.consumer].start_cycle = sp + (e.window.lag + e.window.height - 1) as u64 * w;
+    let cert = certify_netlist(&plan.dag, &bad, &options());
+    assert!(refuted_codes(&cert).contains(&"E0504"), "{}", cert.render());
+    assert_not_streamable(&bad, Some(e.consumer));
+}
+
+#[test]
+fn consumer_pushed_past_slot_reuse_is_clobbered_and_not_streamable() {
+    // The consumer starts one cycle after the rotation has reused the
+    // slot of its window's first row.
+    let (plan, mut bad, e, rows) = unsharp_edge();
+    let w = geom().width as u64;
+    let sp = bad.stages[e.producer].start_cycle;
+    bad.stages[e.consumer].start_cycle = sp + (e.window.lag as u64 + rows) * w + 1;
+    let cert = certify_netlist(&plan.dag, &bad, &options());
+    assert!(refuted_codes(&cert).contains(&"E0505"), "{}", cert.render());
+    assert_not_streamable(&bad, None);
+}
+
+#[test]
+fn rate_scale_that_does_not_divide_the_frame_is_not_streamable() {
+    // 24 rows do not split into a grid of 5-row steps.
+    let (_, mut bad) = netlist_of(Algorithm::UnsharpM, &BitWidths::default());
+    let stage = bad
+        .stages
+        .iter()
+        .position(|s| s.is_output)
+        .expect("an output");
+    assert_ne!(geom().height % 5, 0);
+    bad.stages[stage].scale_y = 5;
+    assert_not_streamable(&bad, Some(stage));
 }
 
 #[test]

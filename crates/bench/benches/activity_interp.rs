@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::{sample_pattern, Algorithm, TestPattern};
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
 use imagen_rtl::{build_netlist, interpret, interpret_with_trace, BitWidths};
@@ -24,8 +24,8 @@ fn bench_activity(c: &mut Criterion) {
         pixel_bits: 16,
     };
     let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-    let out = Compiler::new(geom, spec)
-        .compile_dag(&Algorithm::UnsharpM.build())
+    let out = Session::new(&Algorithm::UnsharpM.build(), geom)
+        .compile(&spec, None)
         .unwrap();
     let input = Image::from_fn(geom.width, geom.height, |x, y| {
         sample_pattern(TestPattern::Noise, 5, x, y)

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::Algorithm;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_schedule::{ScheduleOptions, SizeObjective};
 
@@ -18,26 +18,26 @@ fn bench_coalescing(c: &mut Criterion) {
 
     group.bench_function("canny_s_plain", |b| {
         b.iter(|| {
-            Compiler::new(geom, plain.clone())
-                .compile_dag(std::hint::black_box(&dag))
+            Session::new(std::hint::black_box(&dag), geom)
+                .compile(&plain, None)
                 .unwrap()
         })
     });
     group.bench_function("canny_s_coalesced", |b| {
         b.iter(|| {
-            Compiler::new(geom, lc.clone())
-                .compile_dag(std::hint::black_box(&dag))
+            Session::new(std::hint::black_box(&dag), geom)
+                .compile(&lc, None)
                 .unwrap()
         })
     });
     group.bench_function("canny_s_exact_rows_objective", |b| {
         b.iter(|| {
-            Compiler::new(geom, plain.clone())
+            Session::new(std::hint::black_box(&dag), geom)
                 .with_options(ScheduleOptions {
                     objective: SizeObjective::TotalRows,
                     ..Default::default()
                 })
-                .compile_dag(std::hint::black_box(&dag))
+                .compile(&plain, None)
                 .unwrap()
         })
     });

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::Algorithm;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 
 fn bench_compile(c: &mut Criterion) {
@@ -14,8 +14,8 @@ fn bench_compile(c: &mut Criterion) {
         let spec = MemorySpec::new(MemBackend::asic_default(), 2);
         group.bench_function(alg.name(), |b| {
             b.iter(|| {
-                Compiler::new(geom, spec.clone())
-                    .compile_dag(std::hint::black_box(&dag))
+                Session::new(std::hint::black_box(&dag), geom)
+                    .compile(&spec, None)
                     .unwrap()
             })
         });

@@ -4,7 +4,7 @@
 //! Three variants:
 //!
 //! * `per_point_compiler` — the pre-session architecture: one cold
-//!   `Compiler::compile_dag` per point, RTL included, strictly
+//!   compile (a fresh `Session` per point), RTL included, strictly
 //!   sequential;
 //! * `session_sequential` — shared constraint skeleton + memoized
 //!   session + skip-RTL pricing, one worker;
@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::Algorithm;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy, MeasureMode, StageChoice};
 use imagen_ir::Dag;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
@@ -47,7 +47,7 @@ fn per_point_compiler_sweep(dag: &Dag, geom: ImageGeometry, backend: MemBackend)
                 },
             );
         }
-        let out = Compiler::new(geom, spec).compile_dag(dag).unwrap();
+        let out = Session::new(dag, geom).compile(&spec, None).unwrap();
         std::hint::black_box(out.plan.design.total_area_mm2());
     }
 }

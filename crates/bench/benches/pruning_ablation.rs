@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::Algorithm;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_schedule::ScheduleOptions;
 
@@ -18,19 +18,19 @@ fn bench_pruning(c: &mut Criterion) {
         let dag = alg.build();
         group.bench_function(format!("{}_pruned", alg.name()), |b| {
             b.iter(|| {
-                Compiler::new(geom, spec.clone())
-                    .compile_dag(std::hint::black_box(&dag))
+                Session::new(std::hint::black_box(&dag), geom)
+                    .compile(&spec, None)
                     .unwrap()
             })
         });
         group.bench_function(format!("{}_unpruned", alg.name()), |b| {
             b.iter(|| {
-                Compiler::new(geom, spec.clone())
+                Session::new(std::hint::black_box(&dag), geom)
                     .with_options(ScheduleOptions {
                         pruning: false,
                         ..Default::default()
                     })
-                    .compile_dag(std::hint::black_box(&dag))
+                    .compile(&spec, None)
                     .unwrap()
             })
         });

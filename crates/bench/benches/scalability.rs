@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imagen_algos::synthetic_pipeline;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 
 fn bench_scalability(c: &mut Criterion) {
@@ -16,8 +16,8 @@ fn bench_scalability(c: &mut Criterion) {
         let spec = MemorySpec::new(MemBackend::asic_default(), 2);
         group.bench_with_input(BenchmarkId::from_parameter(stages), &dag, |b, dag| {
             b.iter(|| {
-                Compiler::new(geom, spec.clone())
-                    .compile_dag(std::hint::black_box(dag))
+                Session::new(std::hint::black_box(dag), geom)
+                    .compile(&spec, None)
                     .unwrap()
             })
         });

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::{sample_pattern, Algorithm, TestPattern};
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_sim::{simulate, Image};
 
@@ -18,8 +18,8 @@ fn bench_sim(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(6));
     for alg in [Algorithm::UnsharpM, Algorithm::CannyM] {
-        let out = Compiler::new(geom, spec.clone())
-            .compile_dag(&alg.build())
+        let out = Session::new(&alg.build(), geom)
+            .compile(&spec, None)
             .unwrap();
         let input = Image::from_fn(geom.width, geom.height, |x, y| {
             sample_pattern(TestPattern::Noise, 1, x, y)

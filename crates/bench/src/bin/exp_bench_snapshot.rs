@@ -18,7 +18,7 @@
 
 use imagen_algos::{sample_pattern, Algorithm, TestPattern};
 use imagen_bench::smoke_mode;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy, MeasureMode};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
@@ -215,7 +215,7 @@ fn main() {
 
     // netlist_interp mirror: elaborate / emit / interpret Unsharp-m.
     let dag = Algorithm::UnsharpM.build();
-    let out = Compiler::new(geom, spec).compile_dag(&dag).unwrap();
+    let out = Session::new(&dag, geom).compile(&spec, None).unwrap();
     let input = Image::from_fn(geom.width, geom.height, |x, y| {
         sample_pattern(TestPattern::Noise, 3, x, y)
     });

@@ -5,7 +5,7 @@
 
 use imagen_algos::Algorithm;
 use imagen_bench::{asic_backend, geom_320, timing_reps};
-use imagen_core::{Compiler, Session};
+use imagen_core::Session;
 use imagen_ir::linearize;
 use imagen_mem::MemorySpec;
 use imagen_schedule::{plan_design, ScheduleOptions};
@@ -37,8 +37,9 @@ fn main() {
         let dag = alg.build();
         let spec = MemorySpec::new(backend, 2);
 
+        // One-shot compile: a fresh session per point.
         let t_ours = time_ms(|| {
-            let _ = Compiler::new(geom, spec.clone()).compile_dag(&dag).unwrap();
+            let _ = Session::new(&dag, geom).compile(&spec, None).unwrap();
         });
         // Multi-scenario serving path: a session that already compiled
         // this point answers from its cache.
@@ -54,9 +55,9 @@ fn main() {
                 pruning: false,
                 ..Default::default()
             };
-            let _ = Compiler::new(geom, spec.clone())
+            let _ = Session::new(&dag, geom)
                 .with_options(opts)
-                .compile_dag(&dag)
+                .compile(&spec, None)
                 .unwrap();
         });
         let t_darkroom = time_ms(|| {

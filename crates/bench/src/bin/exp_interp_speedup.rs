@@ -20,7 +20,7 @@
 
 use imagen_algos::{noise_bits, Algorithm};
 use imagen_bench::smoke_mode;
-use imagen_core::{CompileOutput, Compiler};
+use imagen_core::{CompileOutput, Session};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
 use imagen_rtl::{
@@ -75,13 +75,14 @@ fn main() {
         "pipeline", "untraced", "traced", "gated traced", "compile ms"
     );
 
-    let compiler = Compiler::new(geom, MemorySpec::new(MemBackend::asic_default(), 2));
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    let compile = |dag: &imagen_ir::Dag| Session::new(dag, geom).compile(&spec, None).unwrap();
     let mut pipelines: Vec<(&str, CompileOutput)> = Algorithm::all()
         .into_iter()
-        .map(|alg| (alg.name(), compiler.compile_dag(&alg.build()).unwrap()))
+        .map(|alg| (alg.name(), compile(&alg.build())))
         .collect();
     for (name, src) in PYRAMIDS {
-        pipelines.push((name, compiler.compile_source(name, src).unwrap()));
+        pipelines.push((name, compile(&imagen_dsl::compile(name, src).unwrap())));
     }
 
     let mut ratios: Vec<f64> = Vec::new();

@@ -28,7 +28,7 @@ fn main() {
         let dag = synthetic_pipeline(stages, 2023);
         let spec = MemorySpec::new(asic_backend(), 2);
         // Cold = session setup (skeleton build) + contention + ILP +
-        // pricing + RTL, end to end, like the one-shot Compiler path.
+        // pricing + RTL, end to end: a one-shot compile.
         let t = Instant::now();
         let session = Session::new(&dag, geom);
         let out = session.compile(&spec, None).expect("synthetic compiles");

@@ -25,7 +25,7 @@
 
 use imagen_algos::{sample_pattern, Algorithm, TestPattern};
 use imagen_baselines::{generate_darkroom, generate_fixynn, generate_soda};
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_schedule::Plan;
 use imagen_sim::Image;
@@ -80,8 +80,8 @@ pub fn generate(
         DesignStyle::Darkroom => generate_darkroom(&dag, geom, backend).expect("darkroom"),
         DesignStyle::Soda => generate_soda(&dag, geom, backend).expect("soda"),
         DesignStyle::Ours => {
-            Compiler::new(*geom, MemorySpec::new(backend, 2))
-                .compile_dag(&dag)
+            Session::new(&dag, *geom)
+                .compile(&MemorySpec::new(backend, 2), None)
                 .expect("ours")
                 .plan
         }

@@ -2,14 +2,14 @@
 //! bodies of the `compile` / `dse` / `sim` / `energy` subcommands.
 //!
 //! Output is deterministic by construction (no timestamps, no pointer
-//! values, no wall-clock durations unless `--timing` asks for them), so
+//! values, no wall-clock durations outside the `--profile` trailer), so
 //! the CLI integration tests pin `compile` and `dse` text against golden
 //! files.
 
 use crate::json::{self, Json};
 use crate::{CliError, Options};
 use imagen_analysis::certify_dag_styled;
-use imagen_core::Compiler;
+use imagen_core::Session;
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy, MeasureMode};
 use imagen_ir::{Dag, StageId};
 use imagen_obs::Collector;
@@ -65,8 +65,8 @@ fn header(dag: &Dag, opts: &Options) -> String {
 
 /// `imagen compile`: the full Fig. 5 flow on one pipeline.
 pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
-    let out = Compiler::new(opts.geometry(), opts.memory_spec())
-        .compile_dag(dag)
+    let out = Session::new(dag, opts.geometry())
+        .compile(&opts.memory_spec(), None)
         .map_err(|e| e.to_string())?;
     let plan = &out.plan;
     let design = &plan.design;
@@ -148,15 +148,6 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
     ));
 
     print!("{text}");
-    if opts.timing {
-        println!(
-            "\ncompile time: {:.2} ms (front end {:.2} + optimize {:.2} + codegen {:.2})",
-            out.timing.total_us() as f64 / 1e3,
-            out.timing.frontend_us as f64 / 1e3,
-            out.timing.optimize_us as f64 / 1e3,
-            out.timing.codegen_us as f64 / 1e3
-        );
-    }
     if opts.emit {
         println!("\n{}", out.verilog);
     }
@@ -171,7 +162,7 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
 /// subcommand wrapped in a span collector covering the *whole*
 /// invocation (front end included), with a phase-breakdown trailer and
 /// an optional Chrome trace file. The trailer is non-deterministic by
-/// nature (wall-clock durations), like `--timing`.
+/// nature (wall-clock durations).
 pub fn run_profiled(cmd: &str, opts: &Options) -> Result<(), CliError> {
     let collector = Arc::new(Collector::new());
     let pivots_before = imagen_ilp::stats::pivot_count();
@@ -563,8 +554,8 @@ fn input_frames(dag: &Dag, opts: &Options, bits: u32) -> Vec<Image> {
 /// `imagen sim`: golden executor vs netlist interpreter on a seeded frame.
 pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
     check_frame_contains_stencil(dag, opts)?;
-    let out = Compiler::new(opts.geometry(), opts.memory_spec())
-        .compile_dag(dag)
+    let out = Session::new(dag, opts.geometry())
+        .compile(&opts.memory_spec(), None)
         .map_err(|e| e.to_string())?;
     let widths = if opts.wide {
         BitWidths::wide()
@@ -630,8 +621,8 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
 /// `imagen energy`: analytic vs activity-measured power on a seeded frame.
 pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
     check_frame_contains_stencil(dag, opts)?;
-    let out = Compiler::new(opts.geometry(), opts.memory_spec())
-        .compile_dag(dag)
+    let out = Session::new(dag, opts.geometry())
+        .compile(&opts.memory_spec(), None)
         .map_err(|e| e.to_string())?;
     let bits = opts.input_bits.unwrap_or(4);
     let inputs = input_frames(dag, opts, bits);

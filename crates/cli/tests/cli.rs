@@ -177,8 +177,8 @@ fn emitted_verilog_matches_library_output() {
         pixel_bits: 16,
     };
     let spec = imagen_mem::MemorySpec::new(imagen_mem::MemBackend::Asic { block_bits: 32768 }, 2);
-    let via_lib = imagen_core::Compiler::new(geom, spec)
-        .compile_dag(&imagen_algos::Algorithm::UnsharpM.build())
+    let via_lib = imagen_core::Session::new(&imagen_algos::Algorithm::UnsharpM.build(), geom)
+        .compile(&spec, None)
         .unwrap()
         .verilog;
     assert_eq!(via_cli, via_lib, "CLI and library emit different RTL");

@@ -1,7 +1,7 @@
 //! # imagen-core
 //!
-//! The [ImaGen] compiler (the full Fig. 5 flow): DSL source or IR DAG in,
-//! schedule + line-buffer configuration + synthesizable Verilog out.
+//! The [ImaGen] compiler (the full Fig. 5 flow): IR DAG in, schedule +
+//! line-buffer configuration + synthesizable Verilog out.
 //!
 //! ```text
 //! DSL ──front end──▶ DAG ──(line coalescing)──▶ constraints ──ILP──▶
@@ -10,25 +10,31 @@
 //!
 //! The heavy lifting lives in the subsystem crates (`imagen-dsl`,
 //! `imagen-schedule`, `imagen-mem`, `imagen-rtl`); this crate wires them
-//! into a single [`Compiler`] with per-phase timing — the measurements
-//! behind the paper's Sec. 8.2 compilation-speed results.
+//! into one compile path, the memoizing [`Session`]: one DAG at one
+//! geometry, compiled under any number of memory configurations. Every
+//! phase emits an `imagen_obs` span (`plan.formulate`, `ilp.solve`,
+//! `plan.realize`, `netlist.build`, `emit`, and `frontend.parse` /
+//! `frontend.lower` from the front end) — the measurements behind the
+//! paper's Sec. 8.2 compilation-speed results, shown by
+//! `imagen compile --profile`.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 //!
 //! # Examples
 //!
 //! ```
-//! use imagen_core::Compiler;
+//! use imagen_core::Session;
 //! use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 //!
 //! let geom = ImageGeometry { width: 64, height: 48, pixel_bits: 16 };
 //! let spec = MemorySpec::new(MemBackend::Asic { block_bits: 4096 }, 2);
-//! let out = Compiler::new(geom, spec).compile_source("blur", "
+//! let dag = imagen_dsl::compile("blur", "
 //!     input raw;
 //!     output blur = im(x,y)
 //!         (raw(x-1,y) + 2*raw(x,y) + raw(x+1,y)) >> 2
 //!     end
 //! ")?;
+//! let out = Session::new(&dag, geom).compile(&spec, None)?;
 //! assert!(out.plan.design.sram_kb() > 0.0);
 //! assert!(out.verilog.contains("module imagen_top_blur"));
 //! # Ok::<(), imagen_core::CompileError>(())
@@ -42,11 +48,8 @@ mod session;
 pub use session::{CompileCache, Session};
 
 use imagen_dsl::DslError;
-use imagen_ir::Dag;
-use imagen_mem::{DesignStyle, ImageGeometry, MemorySpec};
-use imagen_schedule::{plan_design, Plan, PlanError, ScheduleOptions};
+use imagen_schedule::{Plan, PlanError};
 use std::fmt;
-use std::time::Instant;
 
 pub use imagen_schedule::SizeObjective;
 
@@ -82,24 +85,6 @@ impl From<PlanError> for CompileError {
     }
 }
 
-/// Per-phase wall-clock times of one compilation, microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CompileTiming {
-    /// DSL parse + lower (zero when compiling a prebuilt DAG).
-    pub frontend_us: u128,
-    /// Constraint formulation + ILP + buffer planning.
-    pub optimize_us: u128,
-    /// Verilog emission.
-    pub codegen_us: u128,
-}
-
-impl CompileTiming {
-    /// Total compilation time, microseconds.
-    pub fn total_us(&self) -> u128 {
-        self.frontend_us + self.optimize_us + self.codegen_us
-    }
-}
-
 /// The result of a compilation.
 #[derive(Clone, Debug)]
 pub struct CompileOutput {
@@ -107,121 +92,17 @@ pub struct CompileOutput {
     pub plan: Plan,
     /// The elaborated netlist the Verilog is printed from (shared with
     /// the session cache; also the input to `imagen_rtl::interpret` and
-    /// `imagen_rtl::verify_structure`).
+    /// `imagen_rtl::verify_all`).
     pub netlist: std::sync::Arc<imagen_rtl::Netlist>,
     /// Synthesizable Verilog for the design.
     pub verilog: String,
-    /// Per-phase timing.
-    pub timing: CompileTiming,
-}
-
-/// The ImaGen compiler: geometry + memory spec + options.
-#[derive(Clone, Debug)]
-pub struct Compiler {
-    geom: ImageGeometry,
-    spec: MemorySpec,
-    opts: ScheduleOptions,
-    style: DesignStyle,
-}
-
-impl Compiler {
-    /// Creates a compiler for the given frame geometry and memory spec.
-    pub fn new(geom: ImageGeometry, spec: MemorySpec) -> Compiler {
-        // Label the output by whether the spec ever coalesces.
-        let style = if spec.ever_coalesces(&geom) {
-            DesignStyle::OursLc
-        } else {
-            DesignStyle::Ours
-        };
-        Compiler {
-            geom,
-            spec,
-            opts: ScheduleOptions::default(),
-            style,
-        }
-    }
-
-    /// Overrides the scheduling options (pruning, objective, budgets).
-    pub fn with_options(mut self, opts: ScheduleOptions) -> Compiler {
-        self.opts = opts;
-        self
-    }
-
-    /// Overrides the design style label.
-    pub fn with_style(mut self, style: DesignStyle) -> Compiler {
-        self.style = style;
-        self
-    }
-
-    /// The frame geometry.
-    pub fn geometry(&self) -> &ImageGeometry {
-        &self.geom
-    }
-
-    /// The memory specification.
-    pub fn memory_spec(&self) -> &MemorySpec {
-        &self.spec
-    }
-
-    /// Compiles DSL source text end to end.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError`] from the front end or the optimizer.
-    pub fn compile_source(&self, name: &str, src: &str) -> Result<CompileOutput, CompileError> {
-        let t0 = Instant::now();
-        let dag = {
-            let _s = imagen_obs::span("frontend");
-            imagen_dsl::compile(name, src)?
-        };
-        let frontend_us = t0.elapsed().as_micros();
-        let mut out = self.compile_dag(&dag)?;
-        out.timing.frontend_us = frontend_us;
-        Ok(out)
-    }
-
-    /// Compiles a prebuilt DAG.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Plan`] from the optimizer.
-    pub fn compile_dag(&self, dag: &Dag) -> Result<CompileOutput, CompileError> {
-        let t1 = Instant::now();
-        let plan = {
-            let _s = imagen_obs::span("plan");
-            plan_design(dag, &self.geom, &self.spec, self.opts, self.style)?
-        };
-        let optimize_us = t1.elapsed().as_micros();
-
-        let t2 = Instant::now();
-        let netlist = {
-            let _s = imagen_obs::span("netlist.build");
-            imagen_rtl::build_netlist(&plan.dag, &plan.design, &imagen_rtl::BitWidths::default())
-        };
-        let verilog = {
-            let _s = imagen_obs::span("emit");
-            imagen_rtl::emit_verilog(&netlist)
-        };
-        let codegen_us = t2.elapsed().as_micros();
-
-        Ok(CompileOutput {
-            plan,
-            netlist: std::sync::Arc::new(netlist),
-            verilog,
-            timing: CompileTiming {
-                frontend_us: 0,
-                optimize_us,
-                codegen_us,
-            },
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use imagen_algos::Algorithm;
-    use imagen_mem::MemBackend;
+    use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 
     fn small() -> (ImageGeometry, MemorySpec) {
         let geom = ImageGeometry {
@@ -241,10 +122,9 @@ mod tests {
     #[test]
     fn all_algorithms_compile() {
         let (geom, spec) = small();
-        let c = Compiler::new(geom, spec);
         for alg in Algorithm::all() {
-            let out = c
-                .compile_dag(&alg.build())
+            let out = Session::new(&alg.build(), geom)
+                .compile(&spec, None)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
             assert!(out.plan.design.sram_kb() > 0.0, "{}", alg.name());
             let report = imagen_rtl::verify_all(&out.netlist);
@@ -253,35 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_spec_changes_style() {
-        let (geom, spec) = small();
-        let c = Compiler::new(geom, spec.clone().with_coalescing());
-        let out = c.compile_dag(&Algorithm::UnsharpM.build()).unwrap();
-        assert_eq!(out.plan.design.style, DesignStyle::OursLc);
-        let c = Compiler::new(geom, spec);
-        let out = c.compile_dag(&Algorithm::UnsharpM.build()).unwrap();
-        assert_eq!(out.plan.design.style, DesignStyle::Ours);
-    }
-
-    #[test]
-    fn timing_recorded() {
-        let (geom, spec) = small();
-        let c = Compiler::new(geom, spec);
-        let out = c
-            .compile_source(
-                "blur",
-                "input a; output b = im(x,y) (a(x,y-1)+a(x,y)+a(x,y+1))/3 end",
-            )
-            .unwrap();
-        assert!(out.timing.optimize_us > 0);
-        assert!(out.timing.total_us() >= out.timing.optimize_us);
-    }
-
-    #[test]
     fn dsl_errors_surface() {
         let (geom, spec) = small();
-        let c = Compiler::new(geom, spec);
-        let err = c.compile_source("bad", "input a; output b = im(x,y) c(x,y) end");
+        let err = imagen_dsl::compile("bad", "input a; output b = im(x,y) c(x,y) end")
+            .map_err(CompileError::from)
+            .and_then(|dag| Session::new(&dag, geom).compile(&spec, None));
         assert!(matches!(err, Err(CompileError::Dsl(_))));
     }
 }

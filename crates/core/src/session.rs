@@ -1,10 +1,10 @@
-//! Reusable compile sessions with memoization — the multi-point entry
-//! into the compiler.
+//! Reusable compile sessions with memoization — the one entry into the
+//! compiler.
 //!
-//! A one-shot [`Compiler`](crate::Compiler) re-derives everything per
-//! call. Design-space exploration (paper Sec. 8.5) instead compiles the
-//! *same* DAG under hundreds of memory configurations, where two phases
-//! are invariant across points:
+//! A one-shot compile is a fresh [`Session`] compiled once. Design-space
+//! exploration (paper Sec. 8.5) instead compiles the *same* DAG under
+//! hundreds of memory configurations, where two phases are invariant
+//! across points:
 //!
 //! * the DAG analysis and the spec-independent constraint skeleton
 //!   (data dependencies, sync equalities, longest-path bounds) — built
@@ -18,7 +18,7 @@
 //! shared across threads (compilation runs outside the cache lock, so
 //! workers never serialize on the solver).
 
-use crate::{CompileError, CompileOutput, CompileTiming};
+use crate::{CompileError, CompileOutput};
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::Counter;
@@ -27,7 +27,6 @@ use imagen_schedule::{ScheduleOptions, SizeObjective};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Cache key identifying one fully-resolved compile point.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -53,7 +52,6 @@ struct CacheEntry {
     plan: Arc<Plan>,
     netlist: Option<Arc<imagen_rtl::Netlist>>,
     verilog: Option<Arc<String>>,
-    timing: CompileTiming,
 }
 
 /// Shared memo store for compiled design points.
@@ -231,8 +229,7 @@ impl Session {
     }
 
     /// The style a spec is labeled with when none is forced: `Ours+LC`
-    /// iff any stage's buffer actually coalesces (the same rule as
-    /// [`Compiler::new`](crate::Compiler::new)).
+    /// iff any stage's buffer actually coalesces.
     pub fn infer_style(&self, spec: &MemorySpec) -> DesignStyle {
         if spec.ever_coalesces(&self.geom) {
             DesignStyle::OursLc
@@ -373,7 +370,6 @@ impl Session {
             None => self.compute(spec, style)?,
         };
         if entry.netlist.is_none() || entry.verilog.is_none() {
-            let t = Instant::now();
             let netlist = match entry.netlist.clone() {
                 Some(n) => n,
                 None => {
@@ -389,7 +385,6 @@ impl Session {
                 let _s = imagen_obs::span("emit");
                 imagen_rtl::emit_verilog(&netlist)
             };
-            entry.timing.codegen_us = t.elapsed().as_micros();
             entry.netlist = Some(netlist);
             entry.verilog = Some(Arc::new(verilog));
         }
@@ -405,14 +400,12 @@ impl Session {
             plan: (*entry.plan).clone(),
             netlist: entry.netlist.expect("just generated"),
             verilog: (*entry.verilog.expect("just generated")).clone(),
-            timing: entry.timing,
         })
     }
 
     /// Cold path: plan one configuration (no RTL). Runs outside the cache
     /// lock so parallel workers do not serialize on the solver.
     fn compute(&self, spec: &MemorySpec, style: DesignStyle) -> Result<CacheEntry, CompileError> {
-        let t = Instant::now();
         let plan = plan_design_with(
             &self.dag,
             &self.skeleton,
@@ -421,16 +414,10 @@ impl Session {
             self.opts,
             style,
         )?;
-        let timing = CompileTiming {
-            frontend_us: 0,
-            optimize_us: t.elapsed().as_micros(),
-            codegen_us: 0,
-        };
         Ok(CacheEntry {
             plan: Arc::new(plan),
             netlist: None,
             verilog: None,
-            timing,
         })
     }
 }
@@ -438,9 +425,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Compiler;
     use imagen_algos::Algorithm;
     use imagen_mem::StageMemConfig;
+    use imagen_schedule::plan_design;
 
     fn geom() -> ImageGeometry {
         ImageGeometry {
@@ -468,11 +455,17 @@ mod tests {
         assert_eq!(cold.plan.design, warm.plan.design);
         assert_eq!(cold.verilog, warm.verilog);
 
-        // And both equal the one-shot Compiler.
-        let one_shot = Compiler::new(geom(), spec).compile_dag(&dag).unwrap();
-        assert_eq!(cold.plan.schedule, one_shot.plan.schedule);
-        assert_eq!(cold.plan.design, one_shot.plan.design);
-        assert_eq!(cold.verilog, one_shot.verilog);
+        // And both equal a cold plan from scratch (no skeleton reuse).
+        let style = session.infer_style(&spec);
+        let scratch = plan_design(&dag, &geom(), &spec, ScheduleOptions::default(), style).unwrap();
+        let net = imagen_rtl::build_netlist(
+            &scratch.dag,
+            &scratch.design,
+            &imagen_rtl::BitWidths::default(),
+        );
+        assert_eq!(cold.plan.schedule, scratch.schedule);
+        assert_eq!(cold.plan.design, scratch.design);
+        assert_eq!(cold.verilog, imagen_rtl::emit_verilog(&net));
     }
 
     #[test]
@@ -508,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn style_inference_matches_compiler() {
+    fn style_inference_follows_coalescing() {
         let dag = Algorithm::UnsharpM.build();
         let session = Session::new(&dag, geom());
         let plain = MemorySpec::new(backend(), 2);

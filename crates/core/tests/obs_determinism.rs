@@ -9,7 +9,7 @@
 //! the priced design.
 
 use imagen_algos::Algorithm;
-use imagen_core::{CompileOutput, Compiler};
+use imagen_core::{CompileOutput, Session};
 use imagen_ir::{BinOp, Dag, Expr};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::{with_collector, Collector};
@@ -28,6 +28,14 @@ fn spec() -> MemorySpec {
     MemorySpec::new(MemBackend::Asic { block_bits: 2048 }, 2)
 }
 
+fn compile(dag: &Dag) -> CompileOutput {
+    Session::new(dag, geom()).compile(&spec(), None).unwrap()
+}
+
+fn compile_source(name: &str, src: &str) -> CompileOutput {
+    compile(&imagen_dsl::compile(name, src).unwrap())
+}
+
 /// The deterministic fields of a compile, bit-for-bit.
 fn assert_identical(plain: &CompileOutput, traced: &CompileOutput) {
     assert_eq!(plain.verilog, traced.verilog, "Verilog text differs");
@@ -42,16 +50,14 @@ fn assert_identical(plain: &CompileOutput, traced: &CompileOutput) {
 fn tbl3_pipelines_compile_identically_under_tracing() {
     for alg in Algorithm::all() {
         let dag = alg.build();
-        let plain = Compiler::new(geom(), spec()).compile_dag(&dag).unwrap();
+        let plain = compile(&dag);
         let collector = Arc::new(Collector::new());
-        let traced = with_collector(&collector, || {
-            Compiler::new(geom(), spec()).compile_dag(&dag).unwrap()
-        });
+        let traced = with_collector(&collector, || compile(&dag));
         assert_identical(&plain, &traced);
         // The collector actually observed the compile (this is not a
         // vacuous comparison) and saw the load-bearing phases.
         let phases: Vec<&str> = collector.phase_totals().iter().map(|t| t.name).collect();
-        for expect in ["plan", "ilp.solve", "netlist.build", "emit"] {
+        for expect in ["plan.formulate", "ilp.solve", "netlist.build", "emit"] {
             assert!(
                 phases.contains(&expect),
                 "{:?}: phase {expect} missing from {phases:?}",
@@ -66,13 +72,9 @@ fn source_compiles_identically_under_tracing() {
     // Through the DSL frontend, so frontend.parse/lower run under the
     // collector too.
     for alg in Algorithm::all() {
-        let plain = Compiler::new(geom(), spec())
-            .compile_source(alg.name(), alg.dsl_source())
-            .unwrap();
+        let plain = compile_source(alg.name(), alg.dsl_source());
         let traced = with_collector(&Arc::new(Collector::new()), || {
-            Compiler::new(geom(), spec())
-                .compile_source(alg.name(), alg.dsl_source())
-                .unwrap()
+            compile_source(alg.name(), alg.dsl_source())
         });
         assert_identical(&plain, &traced);
     }
@@ -141,13 +143,12 @@ proptest! {
     ) {
         let traced_first = traced_first == 1;
         let dag = rand_dag(seed, n_stages);
-        let compile = || Compiler::new(geom(), spec()).compile_dag(&dag).unwrap();
-        let traced_run = || with_collector(&Arc::new(Collector::new()), compile);
+        let traced_run = || with_collector(&Arc::new(Collector::new()), || compile(&dag));
         let (plain, traced) = if traced_first {
             let t = traced_run();
-            (compile(), t)
+            (compile(&dag), t)
         } else {
-            (compile(), traced_run())
+            (compile(&dag), traced_run())
         };
         prop_assert_eq!(&plain.verilog, &traced.verilog);
         prop_assert_eq!(&plain.plan.schedule, &traced.plan.schedule);

@@ -255,9 +255,7 @@ impl DseResult {
         let net = session.netlist(&spec, Some(point.design.style))?;
         let data = DataTrace::record(&net, inputs)?;
         let plan = session.price(&spec, Some(point.design.style))?;
-        let m = measured_energy(&plan.dag, &point.design, inputs, data.as_ref(), || {
-            (*net).clone()
-        })?;
+        let m = measured_energy(&plan.dag, &point.design, inputs, &data, || (*net).clone())?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -302,9 +300,9 @@ pub enum ExploreStrategy {
 /// together, and prices both. Multirate pipelines such as the pyramids
 /// take the same route: their data pass runs on each stage's own grid
 /// and their structure pass counts every access on its stage's cadence.
-/// Points outside the structure pass's guard — a schedule that violates
-/// the streaming margins, or gate windows that would zero a load — have
-/// their netlist elaborated and interpreted in full, ungated and gated.
+/// Points outside the structure pass's guard — gate windows that would
+/// zero a load — have their netlist elaborated and interpreted in full,
+/// ungated and gated.
 /// Both routes give bit-identical [`MeasuredEnergy`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MeasureMode {
@@ -389,7 +387,7 @@ fn measured_energy(
     dag: &Dag,
     design: &Design,
     inputs: &[Image],
-    data: Option<&DataTrace>,
+    data: &DataTrace,
     elaborate: impl FnOnce() -> Netlist,
 ) -> Result<MeasuredEnergy, InterpError> {
     let roster = build_roster(dag, design, &BitWidths::default());
@@ -413,7 +411,7 @@ fn measured_energy(
 /// nothing is cached across sweeps.
 struct Measurer<'a> {
     inputs: &'a [Image],
-    data: OnceLock<Option<DataTrace>>,
+    data: OnceLock<DataTrace>,
 }
 
 impl<'a> Measurer<'a> {
@@ -430,15 +428,15 @@ impl<'a> Measurer<'a> {
         let data = self.data.get_or_init(|| {
             let _s = imagen_obs::span("dse.data_trace");
             DataTrace::record(&elaborate(), self.inputs)
-                .expect("sweep inputs are built to the sweep geometry")
+                .expect("planner schedules stream, and sweep inputs match the sweep geometry")
         });
-        // The fallback netlist is transient (not cached), so a 2^N sweep
+        // The off-guard netlist is transient (not cached), so a 2^N sweep
         // does not pin 2^N netlists.
-        measured_energy(&plan.dag, &plan.design, self.inputs, data.as_ref(), || {
+        measured_energy(&plan.dag, &plan.design, self.inputs, data, || {
             let _s = imagen_obs::span("dse.point.netlist");
             elaborate()
         })
-        .expect("sweep inputs are built to the sweep geometry")
+        .expect("planner schedules stream, and sweep inputs match the sweep geometry")
     }
 }
 

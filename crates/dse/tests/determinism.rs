@@ -2,11 +2,14 @@
 //!
 //! * fanning a sweep out over worker threads returns *byte-identical*
 //!   points (order and values) to the sequential walk;
-//! * recompiling a cached point equals the cold compile.
+//! * recompiling a cached point equals the cold compile, and both equal
+//!   a plan built from scratch without the session's skeleton.
 
 use imagen_core::Session;
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
+use imagen_rtl::{build_netlist, emit_verilog, BitWidths};
+use imagen_schedule::{plan_design, ScheduleOptions};
 use proptest::prelude::*;
 
 fn geom() -> ImageGeometry {
@@ -126,12 +129,18 @@ proptest! {
         let (hits, _) = session.cache().stats();
         prop_assert!(hits >= 1, "second compile must hit the cache");
 
-        // And both equal a from-scratch one-shot compile.
-        let fresh = imagen_core::Compiler::new(geom(), spec)
-            .compile_dag(&dag)
-            .unwrap();
-        prop_assert_eq!(&cold.plan.schedule, &fresh.plan.schedule);
-        prop_assert_eq!(&cold.plan.design, &fresh.plan.design);
-        prop_assert_eq!(&cold.verilog, &fresh.verilog);
+        // And both equal a cold plan from scratch (no skeleton reuse).
+        let fresh = plan_design(
+            &dag,
+            &geom(),
+            &spec,
+            ScheduleOptions::default(),
+            session.infer_style(&spec),
+        )
+        .unwrap();
+        let net = build_netlist(&fresh.dag, &fresh.design, &BitWidths::default());
+        prop_assert_eq!(&cold.plan.schedule, &fresh.schedule);
+        prop_assert_eq!(&cold.plan.design, &fresh.design);
+        prop_assert_eq!(&cold.verilog, &emit_verilog(&net));
     }
 }

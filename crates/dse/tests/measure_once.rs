@@ -124,7 +124,9 @@ fn check_sweeps(name: &str, dag: &Dag) {
             1 << sweeps[0].buffered_stages.len(),
             "{name}: point count"
         );
-        let mut data: Option<DataTrace> = None;
+        // The trace level: the data pass recorded on the first point
+        // reprices every point exactly as interpretation counts it.
+        let data = DataTrace::record(&point(&session, &sweeps[0], 0).net, &inputs).expect("record");
         for mask in 0..n {
             let pt = point(&session, &sweeps[0], mask);
             let net = &pt.net;
@@ -154,15 +156,7 @@ fn check_sweeps(name: &str, dag: &Dag) {
                 );
             }
 
-            // The trace level: the data pass recorded on the first point
-            // reprices every point exactly as interpretation counts it.
-            if mask == 0 {
-                data = DataTrace::record(net, &inputs).expect("record");
-            }
             let tag = format!("{name} {mode:?} point {mask}");
-            let data = data
-                .as_ref()
-                .unwrap_or_else(|| panic!("{tag}: every sweep records a data trace"));
             let plan = gating_plan(&pt.roster);
             let got = data
                 .structure_traces(&pt.dag, &pt.roster, &plan)
@@ -376,12 +370,8 @@ fn data_trace_refuses_a_datapath_at_other_rates() {
     assert_eq!(pyr_net.stages.len(), flat_net.stages.len());
 
     let inputs = stimulus(&pyramid, MeasureMode::default());
-    let pyr_data = DataTrace::record(pyr_net, &inputs)
-        .unwrap()
-        .expect("pyramid data trace");
-    let flat_data = DataTrace::record(flat_net, &inputs)
-        .unwrap()
-        .expect("rate-1 data trace");
+    let pyr_data = DataTrace::record(pyr_net, &inputs).expect("pyramid data trace");
+    let flat_data = DataTrace::record(flat_net, &inputs).expect("rate-1 data trace");
     // The structure pass of `data` at point `pt`, under its derived gates.
     let traces = |data: &DataTrace, pt: &Point| {
         data.structure_traces(&pt.dag, &pt.roster, &gating_plan(&pt.roster))
@@ -407,9 +397,7 @@ fn guard_accepts_exactly_the_windows_that_cover_every_load() {
         let pt = point(&Session::new(&dag, geom()), &res, 0);
         let net = &pt.net;
         let inputs = stimulus(&dag, MeasureMode::default());
-        let data = DataTrace::record(net, &inputs)
-            .unwrap()
-            .expect("pyramid data trace");
+        let data = DataTrace::record(net, &inputs).expect("pyramid data trace");
         // The gated half of the paired structure pass under `plan`.
         let gated_trace = |plan: &GatingPlan| {
             let traces = data.structure_traces(&pt.dag, &pt.roster, plan).unwrap();
@@ -473,9 +461,7 @@ fn corrupted_gate_window_takes_the_reference_path_and_trips_the_assertion() {
     let res = sweep(&dag, MeasureMode::Off, 1);
     let pt = point(&session, &res, 0);
     let inputs = stimulus(&dag, MeasureMode::default());
-    let data = DataTrace::record(&pt.net, &inputs)
-        .unwrap()
-        .expect("rate-1 data trace");
+    let data = DataTrace::record(&pt.net, &inputs).expect("rate-1 data trace");
     // Measures `pt` under `plan`, elaborating its netlist (span
     // `dse.point.netlist`, as a sweep does) only if the structure pass
     // refuses the point.
@@ -485,13 +471,7 @@ fn corrupted_gate_window_takes_the_reference_path_and_trips_the_assertion() {
             pt.net.clone()
         };
         measure_design_point(
-            &pt.dag,
-            &pt.roster,
-            &pt.design,
-            plan,
-            &inputs,
-            Some(&data),
-            elaborate,
+            &pt.dag, &pt.roster, &pt.design, plan, &inputs, &data, elaborate,
         )
     };
 

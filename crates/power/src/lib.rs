@@ -159,21 +159,22 @@ pub struct PointEnergy {
 /// [`imagen_rtl::build_roster`] at the widths to measure at; `elaborate`
 /// builds its netlist ([`build_netlist`] of the same three).
 ///
-/// With `data` recorded for the point's datapath on these `inputs`, a
-/// point that passes the structure-pass guard
+/// `data` is the sweep's data pass ([`DataTrace::record`] on these
+/// `inputs`). A point that passes the structure-pass guard
 /// ([`DataTrace::structure_traces`]) is measured from its roster alone —
 /// one structure pass for both variants, no netlist elaborated and none
 /// interpreted — whether its stages run at rate 1 or on resampled grids.
-/// Every other point — no data trace, a datapath (kernels, windows,
-/// widths or rate scales) other than the recorded one, a non-streamable
-/// schedule, or a gate window that zeroes a consumed load — calls
-/// `elaborate` and interprets both netlists, exactly as
-/// [`measure_netlist`] does, including its gated ≡ ungated output
-/// assertion.
+/// Every other point — a datapath (kernels, windows, widths or rate
+/// scales) other than the recorded one, or a gate window that zeroes a
+/// consumed load — calls `elaborate` and interprets both netlists,
+/// exactly as [`measure_netlist`] does, including its gated ≡ ungated
+/// output assertion.
 ///
 /// # Errors
 ///
-/// [`InterpError`] for structural interpretation problems.
+/// [`InterpError`] for structural interpretation problems, and
+/// [`InterpError::NotStreamable`] for a schedule the program cannot
+/// stream.
 ///
 /// # Panics
 ///
@@ -184,22 +185,20 @@ pub fn measure_design_point(
     design: &Design,
     gating: &GatingPlan,
     inputs: &[Image],
-    data: Option<&DataTrace>,
+    data: &DataTrace,
     elaborate: impl FnOnce() -> Netlist,
 ) -> Result<PointEnergy, InterpError> {
-    if let Some(data) = data {
-        if let Some((ungated, gated)) = data.structure_traces(dag, roster, gating)? {
-            // Gating leaves the datapath untouched: one cost prices both
-            // traces.
-            let cost = DatapathCost::of_dag(dag, &roster.widths);
-            let clock = imagen_mem::CLOCK_MHZ;
-            let gated = price(&cost, design, &gated, clock);
-            return Ok(PointEnergy {
-                ungated: price(&cost, design, &ungated, clock),
-                gated_off_cycles: gated.gated_off_cycles,
-                gated,
-            });
-        }
+    if let Some((ungated, gated)) = data.structure_traces(dag, roster, gating)? {
+        // Gating leaves the datapath untouched: one cost prices both
+        // traces.
+        let cost = DatapathCost::of_dag(dag, &roster.widths);
+        let clock = imagen_mem::CLOCK_MHZ;
+        let gated = price(&cost, design, &gated, clock);
+        return Ok(PointEnergy {
+            ungated: price(&cost, design, &ungated, clock),
+            gated_off_cycles: gated.gated_off_cycles,
+            gated,
+        });
     }
     let net = elaborate();
     let pm = measure_pair(

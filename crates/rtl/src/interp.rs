@@ -48,6 +48,17 @@ pub enum InterpError {
         /// The buffer-less producer stage.
         stage: usize,
     },
+    /// The netlist cannot be streamed a frame at a time: a consumer's
+    /// window load comes before its producer wrote the row (write lead
+    /// below one cycle) or after the rotating buffer reused the row's
+    /// slot, or a stage's rate scale does not divide the frame. The
+    /// planner emits none of these, and `imagen certify` refutes the
+    /// first two as `E0504`/`E0505`.
+    NotStreamable {
+        /// The consumer whose load misses its slot, or the stage whose
+        /// rate scale does not divide the frame.
+        stage: usize,
+    },
 }
 
 impl fmt::Display for InterpError {
@@ -66,6 +77,11 @@ impl fmt::Display for InterpError {
             InterpError::MissingBuffer { stage } => {
                 write!(f, "stage {stage} is windowed but owns no line buffer")
             }
+            InterpError::NotStreamable { stage } => write!(
+                f,
+                "stage {stage} cannot be streamed: a window load misses its line-buffer slot \
+                 or its rate scale does not divide the frame"
+            ),
         }
     }
 }
@@ -209,8 +225,9 @@ struct SraState {
 ///
 /// # Errors
 ///
-/// [`InterpError`] for structural problems; the interpretation itself
-/// cannot fail (the netlist is a closed system once inputs are bound).
+/// [`InterpError`] for structural problems, [`InterpError::NotStreamable`]
+/// included; the interpretation itself cannot fail (the netlist is a
+/// closed system once inputs are bound).
 pub fn interpret(net: &Netlist, inputs: &[Image]) -> Result<InterpReport, InterpError> {
     crate::program::EvalProgram::compile(net)?.run(inputs)
 }
@@ -237,24 +254,31 @@ pub fn interpret_with_trace(
 /// re-traversing its structure every cycle, with no compiled program in
 /// between.
 ///
-/// This is the semantic baseline the program path is differentially
-/// pinned against (`crates/rtl/tests/program_differential.rs`); prefer
-/// [`interpret`] everywhere else — it is an order of magnitude faster
-/// and bit-identical.
+/// A test reference with no library caller: the semantic baseline the
+/// program path is differentially pinned against
+/// (`crates/rtl/tests/program_differential.rs`,
+/// `tests/multirate_differential.rs`, `tests/activity_golden.rs`), and
+/// the one oracle for full activity traces of generated programs that
+/// does not share the program's code. Use [`interpret`] everywhere else
+/// — it is an order of magnitude faster and bit-identical. Unlike
+/// [`interpret`], the walker also runs schedules that violate the
+/// streaming margins, cycle by cycle.
 ///
 /// # Errors
 ///
-/// See [`interpret`].
+/// [`InterpError`] on input count or geometry mismatch or a missing
+/// line buffer.
 pub fn interpret_legacy(net: &Netlist, inputs: &[Image]) -> Result<InterpReport, InterpError> {
     run(net, inputs, None)
 }
 
 /// The reference traced interpreter — [`interpret_with_trace`]'s
-/// graph-walking baseline, see [`interpret_legacy`].
+/// graph-walking baseline and, like [`interpret_legacy`], a test
+/// reference with no library caller.
 ///
 /// # Errors
 ///
-/// See [`interpret`].
+/// See [`interpret_legacy`].
 pub fn interpret_with_trace_legacy(
     net: &Netlist,
     inputs: &[Image],
@@ -854,7 +878,7 @@ mod tests {
         assert_eq!(e.window().dx_max, -1, "normalization keeps dx_max < 0");
 
         let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-        crate::verify_structure(&net).unwrap();
+        crate::verify_all(&net).into_result().unwrap();
         let sra = net
             .top_module()
             .net("sra_K1_0")

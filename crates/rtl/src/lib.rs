@@ -7,7 +7,7 @@
 //! Design ──build_netlist()──▶ Netlist ──┬─ emit_verilog()          → .v text
 //!                                       ├─ interpret()             → executed frames
 //!                                       ├─ interpret_with_trace()  → frames + ActivityTrace
-//!                                       ├─ verify_structure()      → arity/width/driver checks
+//!                                       ├─ verify_all()            → arity/width/driver checks
 //!                                       └─ report_resources()      → SRAM/FF/operator inventory
 //! ```
 //!
@@ -25,7 +25,9 @@
 //!   netlist once into a flat evaluation program ([`EvalProgram`]) and
 //!   streams the frame through that — an order of magnitude faster than
 //!   the reference graph-walking path ([`interpret_legacy`]), which
-//!   remains available as the differential baseline;
+//!   remains as the tests' differential baseline with no library caller.
+//!   A netlist the program cannot stream is refused with
+//!   [`InterpError::NotStreamable`];
 //! * [`interpret_with_trace`] additionally collects an [`ActivityTrace`]
 //!   (per-SRAM-bank access counts, register toggle totals, enable duty
 //!   cycles) that `imagen-power` prices into measured energy — and the
@@ -33,8 +35,8 @@
 //!   gated-off read-port cycles;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
 //!   every instantiation, driver/undriven-net analysis), accumulating
-//!   every problem into an [`RtlReport`]; [`verify_structure`] is its
-//!   first-error `Result` facade;
+//!   every problem into an [`RtlReport`] ([`RtlReport::into_result`] for
+//!   the first error as a `Result`);
 //! * [`report_resources`] inventories the instantiated hardware for
 //!   design-space exploration;
 //! * [`generate_testbench`] emits a self-checking testbench wired to the
@@ -69,7 +71,7 @@ pub use netlist::{
 pub use program::{DataTrace, EvalProgram};
 pub use resources::{report_resources, report_resources_for, ResourceReport};
 pub use testbench::{generate_testbench, TestVectors};
-pub use verify::{verify_all, verify_structure, RtlError, RtlReport, RtlSummary};
+pub use verify::{verify_all, RtlError, RtlReport, RtlSummary};
 
 use imagen_ir::Dag;
 use imagen_mem::Design;
@@ -132,7 +134,7 @@ mod tests {
     fn generated_netlist_verifies() {
         let (dag, design) = plan();
         let net = build_netlist(&dag, &design, &BitWidths::default());
-        let summary = verify_structure(&net).unwrap();
+        let summary = verify_all(&net).into_result().unwrap();
         // 2 SRAM primitives + 2 stage modules + 2 linebuf modules + top.
         assert_eq!(summary.modules, 7);
         assert!(summary.sram_instances > 0);
@@ -191,7 +193,7 @@ mod tests {
         )
         .unwrap();
         let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-        verify_structure(&net).unwrap();
+        verify_all(&net).into_result().unwrap();
         let v = emit_verilog(&net);
         assert!(v.contains("imagen_sram_1p"));
     }

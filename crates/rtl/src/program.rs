@@ -14,7 +14,7 @@
 //! * **stage-at-a-time streaming** — the compiler proves from the ILP
 //!   schedule that every window load happens at least one cycle after
 //!   the producer wrote the word and before the rotating buffer reuses
-//!   its slot (the `streamable` margins). Under that proof the lockstep
+//!   its slot (the streaming margins). Under that proof the lockstep
 //!   cycle loop is unnecessary: stages execute one *whole frame* at a
 //!   time in start-cycle order, each tap reading the producer's dense
 //!   output image directly — `image[min(y+lag+j, h-1)][max(x+dx, 0)]`
@@ -56,10 +56,11 @@
 //!   only in each buffer's read-port duty (enabled, idle and gated-off
 //!   cycles), recomputed in closed form for its gate window. A point
 //!   takes the structure pass only under a guard proved for that point:
-//!   its datapath equals the recorded one, its schedule is streamable,
-//!   and every gate window covers all of each edge's load cycles (so no
-//!   load is zeroed and the gated pixels equal the ungated ones). Any
-//!   other point returns `None` and goes through the full traced run;
+//!   its datapath equals the recorded one and every gate window covers
+//!   all of each edge's load cycles (so no load is zeroed and the gated
+//!   pixels equal the ungated ones). Any other point returns `None` and
+//!   goes through the full traced run; a point whose schedule cannot be
+//!   streamed is an [`InterpError::NotStreamable`] on either route;
 //! * **per-stage grids** — pipelines with `downsample`/`upsample` stages
 //!   keep the frame-at-a-time streaming order but run each stage over its
 //!   *own* grid (`W/cx × H/cy`), stepping taps through the producer's
@@ -79,11 +80,14 @@
 //!   residue class of the buffer's column cadence. Traced and untraced
 //!   multirate runs, and the data and structure passes of a pyramid
 //!   sweep, never touch the reference interpreter;
-//! * **pathology fallback** — a netlist whose schedule violates the
+//! * **typed refusal** — a netlist whose schedule violates the
 //!   streaming margins, or whose rate scales do not divide the frame
 //!   (neither is produced by the planner, but both are representable),
-//!   keeps a copy of itself and routes all execution through the
-//!   reference interpreter, trading speed for unconditional exactness.
+//!   does not compile: [`EvalProgram::compile`] returns
+//!   [`InterpError::NotStreamable`], and so do [`crate::interpret`],
+//!   [`crate::interpret_with_trace`] and [`DataTrace::record`]. The two
+//!   margin violations are what `imagen certify` refutes as
+//!   `E0504`/`E0505`.
 //!
 //! The program is *semantics-preserving by construction and pinned by
 //! test*: [`crate::interpret`] routes through it, and the differential
@@ -893,13 +897,6 @@ pub struct EvalProgram {
     gated_off_cycles: u64,
     /// Cumulative rate scale per netlist stage (`(1, 1)` for rate-1).
     scale_of: Vec<(u64, u64)>,
-    /// Whether the schedule satisfies the streaming margins (and every
-    /// rate scale divides the frame).
-    streamable: bool,
-    /// Reference netlist kept for schedules that violate the streaming
-    /// margins: all their execution falls back to the cycle-accurate
-    /// interpreter.
-    fallback: Option<Box<Netlist>>,
 }
 
 /// Cycles of `[lo, hi)` in which at least one of `runs` loads, used for
@@ -941,7 +938,9 @@ impl EvalProgram {
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
     /// line buffer (the same structural check the reference interpreter
-    /// performs up front).
+    /// performs up front); [`InterpError::NotStreamable`] when the
+    /// schedule violates the streaming margins or a rate scale does not
+    /// divide the frame.
     pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
         let _s = imagen_obs::span("program.build");
         EvalProgram::lower(net.into(), net.gating.as_ref(), Some(net))
@@ -950,8 +949,7 @@ impl EvalProgram {
     /// Lowers the roster `net` under the clock-gating plan `gating` (a
     /// netlist's own `gating` is not consulted). `executable` is the
     /// netlist of that roster when the program will run: its kernels are
-    /// linearized and it is kept as the fallback of a non-streamable
-    /// schedule. With `None` only the structure is lowered — schedule,
+    /// linearized. With `None` only the structure is lowered — schedule,
     /// edges, buffer metadata and closed forms — for the structure pass,
     /// so such a program must never be executed.
     pub(crate) fn lower(
@@ -1010,14 +1008,15 @@ impl EvalProgram {
         // readers re-read a producer row for `P_p - P_c` base cycles
         // past the rate-1 model's last access, hence the extra reuse
         // slack term. Every planner schedule satisfies both; a
-        // hand-built netlist that does not falls back to the reference
-        // interpreter.
+        // hand-built netlist that does not is refused.
         let scale_of: Vec<(u64, u64)> = net.stages.iter().map(|s| (s.scale_x, s.scale_y)).collect();
         // Per-stage grids are `W/cx × H/cy`: every scale must divide the
         // frame, as the planner requires.
-        let mut streamable = scale_of.iter().all(|&(sx, sy)| {
-            (sx, sy) == (1, 1) || ((w as u64).is_multiple_of(sx) && (h as u64).is_multiple_of(sy))
-        });
+        if let Some(stage) = scale_of.iter().position(|&(sx, sy)| {
+            (sx, sy) != (1, 1) && !((w as u64).is_multiple_of(sx) && (h as u64).is_multiple_of(sy))
+        }) {
+            return Err(InterpError::NotStreamable { stage });
+        }
         for e in net.edges {
             let sc = net.stages[e.consumer].start_cycle as i64;
             let sp = net.stages[e.producer].start_cycle as i64;
@@ -1030,7 +1029,7 @@ impl EvalProgram {
             let write_lead = sc - sp - (lag + height - 1) * pp;
             let reuse = (lag + rows) * pp - (sc - sp) - (pp - pc).max(0);
             if write_lead < 1 || reuse < 0 {
-                streamable = false;
+                return Err(InterpError::NotStreamable { stage: e.consumer });
             }
         }
 
@@ -1245,10 +1244,6 @@ impl EvalProgram {
             sram_writes,
             gated_off_cycles,
             scale_of,
-            streamable,
-            fallback: executable
-                .filter(|_| !streamable)
-                .map(|x| Box::new(x.clone())),
         })
     }
 
@@ -1259,10 +1254,6 @@ impl EvalProgram {
     /// [`InterpError`] on input count/geometry mismatch.
     pub fn run(&self, inputs: &[Image]) -> Result<InterpReport, InterpError> {
         let _s = imagen_obs::span("program.run");
-        if !self.streamable {
-            let net = self.fallback.as_ref().expect("fallback netlist kept");
-            return crate::interp::interpret_legacy(net, inputs);
-        }
         self.check_inputs(inputs)?;
         Ok(self.report(&self.stage_images(inputs)))
     }
@@ -1278,10 +1269,6 @@ impl EvalProgram {
         inputs: &[Image],
     ) -> Result<(InterpReport, ActivityTrace), InterpError> {
         let _s = imagen_obs::span("program.run");
-        if !self.streamable {
-            let net = self.fallback.as_ref().expect("fallback netlist kept");
-            return crate::interp::interpret_with_trace_legacy(net, inputs);
-        }
         self.check_inputs(inputs)?;
         let images = self.stage_images(inputs);
         let mut tr = TraceAcc::for_program(self);

@@ -138,18 +138,13 @@ impl DataTrace {
     /// frame, ignoring `net`'s clock gating — and keeps the sums the
     /// structure pass needs.
     ///
-    /// Returns `Ok(None)` when the data pass cannot stand for the traced
-    /// run: a schedule that violates the streaming margins.
-    ///
     /// # Errors
     ///
-    /// [`InterpError`] on a missing line buffer or on input count or
-    /// geometry mismatch.
-    pub fn record(net: &Netlist, inputs: &[Image]) -> Result<Option<DataTrace>, InterpError> {
+    /// [`InterpError`] on a missing line buffer, on input count or
+    /// geometry mismatch, and [`InterpError::NotStreamable`] for a
+    /// schedule the program cannot stream.
+    pub fn record(net: &Netlist, inputs: &[Image]) -> Result<DataTrace, InterpError> {
         let prog = EvalProgram::lower(net.into(), None, Some(net))?;
-        if !prog.streamable {
-            return Ok(None);
-        }
         prog.check_inputs(inputs)?;
         let images = prog.stage_images(inputs);
         let mut out_toggles = vec![0; prog.n_net_stages];
@@ -167,11 +162,11 @@ impl DataTrace {
                     .or_insert_with(|| prog.load_sums(ep, &images[ep.prod_stage], k, tail));
             }
         }
-        Ok(Some(DataTrace {
+        Ok(DataTrace {
             datapath: Datapath::of(net),
             out_toggles,
             loads,
-        }))
+        })
     }
 
     /// The structure pass of one design point, for both gating variants:
@@ -191,8 +186,8 @@ impl DataTrace {
     ///
     /// Returns `Ok(None)` unless the guard holds for this point: its
     /// datapath equals the recorded one (kernels, windows, widths and
-    /// every stage's rate scale), its schedule is streamable, and every
-    /// gate window of `gating` covers all of its buffer's load cycles.
+    /// every stage's rate scale), and every gate window of `gating`
+    /// covers all of its buffer's load cycles.
     /// Under the guard the point's stage images are the recorded ones,
     /// gated or not, so both traces are identical field for field — for
     /// rate-1 and multirate pipelines alike.
@@ -200,7 +195,8 @@ impl DataTrace {
     /// # Errors
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
-    /// line buffer.
+    /// line buffer; [`InterpError::NotStreamable`] for a schedule the
+    /// program cannot stream.
     pub fn structure_traces(
         &self,
         dag: &Dag,
@@ -212,7 +208,7 @@ impl DataTrace {
         }
         let prog = EvalProgram::lower(RosterRef::from(roster), None, None)?;
         let gates = gate_windows(&roster.buffers, Some(gating));
-        if !prog.streamable || !prog.gates_cover_loads(&gates) {
+        if !prog.gates_cover_loads(&gates) {
             return Ok(None);
         }
         let mut tr = TraceAcc::for_program(&prog);

@@ -12,7 +12,7 @@
 use imagen::algos::{sample_pattern, Algorithm, TestPattern};
 use imagen::baselines::{generate_darkroom, generate_fixynn, generate_soda};
 use imagen::sim::{simulate, Image};
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let geom = ImageGeometry::p320();
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dag = alg.build();
 
     println!("Compiling {} ({} stages)...", alg.name(), dag.num_stages());
-    let ours = Compiler::new(geom, MemorySpec::new(backend, 2)).compile_dag(&dag)?;
+    let ours = Session::new(&dag, geom).compile(&MemorySpec::new(backend, 2), None)?;
 
     // A deterministic synthetic frame: bars with impulse noise, the kind
     // of content an edge detector actually responds to.

@@ -7,8 +7,11 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! For per-phase compile times of a pipeline file, run
+//! `imagen compile <file.imagen> --profile`.
 
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's running example (Fig. 1 / Sec. 4): a three-stage
@@ -33,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let geom = ImageGeometry::p320();
     let spec = MemorySpec::new(MemBackend::asic_default(), 2);
 
-    let out = Compiler::new(geom, spec).compile_source("fig1", source)?;
+    let dag = imagen::dsl::compile("fig1", source)?;
+    let out = Session::new(&dag, geom).compile(&spec, None)?;
     let design = &out.plan.design;
 
     println!("## Schedule (start cycles from the ILP)\n");
@@ -72,13 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.plan
             .schedule
             .latency(&out.plan.dag, geom.width, geom.height)
-    );
-    println!(
-        "  compile time   : {:.2} ms (front end {:.2} + optimize {:.2} + codegen {:.2})",
-        out.timing.total_us() as f64 / 1e3,
-        out.timing.frontend_us as f64 / 1e3,
-        out.timing.optimize_us as f64 / 1e3,
-        out.timing.codegen_us as f64 / 1e3,
     );
 
     println!("\n## Verilog (first 24 lines of {})\n", {

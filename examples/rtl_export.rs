@@ -7,37 +7,38 @@
 //! ```text
 //! cargo run --release --example rtl_export
 //! ```
+//!
+//! For per-phase compile times, run `imagen compile <file.imagen>
+//! --profile`.
 
 use imagen::algos::Algorithm;
-use imagen::rtl::verify_structure;
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::rtl::verify_all;
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 use std::fs;
 use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let geom = ImageGeometry::p320();
     let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-    let compiler = Compiler::new(geom, spec);
 
     let out_dir = PathBuf::from("target/rtl");
     fs::create_dir_all(&out_dir)?;
 
     println!(
-        "{:12} {:>8} {:>9} {:>7} {:>9}",
-        "algorithm", "modules", "SRAMs", "lines", "compile"
+        "{:12} {:>8} {:>9} {:>7}",
+        "algorithm", "modules", "SRAMs", "lines"
     );
     for alg in Algorithm::all() {
-        let out = compiler.compile_dag(&alg.build())?;
-        let summary = verify_structure(&out.netlist)?;
+        let out = Session::new(&alg.build(), geom).compile(&spec, None)?;
+        let summary = verify_all(&out.netlist).into_result()?;
         let path = out_dir.join(format!("{}.v", alg.name().to_lowercase()));
         fs::write(&path, &out.verilog)?;
         println!(
-            "{:12} {:>8} {:>9} {:>7} {:>7.1}ms",
+            "{:12} {:>8} {:>9} {:>7}",
             alg.name(),
             summary.modules,
             summary.sram_instances,
             out.verilog.lines().count(),
-            out.timing.total_us() as f64 / 1e3
         );
     }
     println!("\nVerilog written to {}", out_dir.display());

@@ -27,19 +27,22 @@
 //! | [`algos`] | `imagen-algos` | the Tbl. 3 evaluation workloads |
 //! | [`dse`] | `imagen-dse` | design-space exploration |
 //!
-//! The most common entry point is [`Compiler`]:
+//! The entry point is [`Session`]: the front end lowers source to a DAG,
+//! and a session compiles that DAG at one geometry under any number of
+//! memory specs:
 //!
 //! ```
-//! use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+//! use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 //!
 //! let geom = ImageGeometry { width: 64, height: 48, pixel_bits: 16 };
 //! let spec = MemorySpec::new(MemBackend::Asic { block_bits: 4096 }, 2);
-//! let out = Compiler::new(geom, spec).compile_source("sobelish", "
+//! let dag = imagen::dsl::compile("sobelish", "
 //!     input raw;
 //!     output grad = im(x,y)
 //!         abs(raw(x+1,y) - raw(x-1,y)) + abs(raw(x,y+1) - raw(x,y-1))
 //!     end
 //! ")?;
+//! let out = Session::new(&dag, geom).compile(&spec, None)?;
 //! println!("SRAM: {:.1} KB over {} blocks",
 //!          out.plan.design.sram_kb(), out.plan.design.block_count());
 //! # Ok::<(), imagen::CompileError>(())
@@ -63,8 +66,6 @@ pub use imagen_rtl as rtl;
 pub use imagen_schedule as schedule;
 pub use imagen_sim as sim;
 
-pub use imagen_core::{
-    CompileCache, CompileError, CompileOutput, CompileTiming, Compiler, Session,
-};
+pub use imagen_core::{CompileCache, CompileError, CompileOutput, Session};
 pub use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 pub use imagen_schedule::{Plan, ScheduleOptions, SizeObjective};

@@ -17,7 +17,7 @@ use imagen::baselines::{generate_darkroom, generate_fixynn, generate_soda};
 use imagen::mem::{DesignStyle, ImageGeometry, MemBackend};
 use imagen::rtl::{build_netlist, interpret_with_trace, BitWidths};
 use imagen::sim::{simulate_and_annotate, Image};
-use imagen::{Compiler, MemorySpec};
+use imagen::{MemorySpec, Session};
 
 fn geom() -> ImageGeometry {
     ImageGeometry {
@@ -41,8 +41,8 @@ fn plan_for(alg: Algorithm, style: DesignStyle) -> imagen::Plan {
         DesignStyle::FixyNn => generate_fixynn(&dag, &g, backend()).unwrap(),
         DesignStyle::Darkroom => generate_darkroom(&dag, &g, backend()).unwrap(),
         _ => {
-            Compiler::new(g, MemorySpec::new(backend(), 2))
-                .compile_dag(&dag)
+            Session::new(&dag, g)
+                .compile(&MemorySpec::new(backend(), 2), None)
                 .unwrap()
                 .plan
         }

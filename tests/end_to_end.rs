@@ -6,7 +6,7 @@ use imagen::algos::{sample_pattern, Algorithm, TestPattern};
 use imagen::baselines::{generate_darkroom, generate_fixynn, generate_soda};
 use imagen::rtl::{build_netlist, emit_verilog, interpret, verify_all, BitWidths};
 use imagen::sim::{simulate, Image};
-use imagen::{Compiler, DesignStyle, ImageGeometry, MemBackend, MemorySpec, Plan};
+use imagen::{DesignStyle, ImageGeometry, MemBackend, MemorySpec, Plan, Session};
 
 /// Small frames keep debug-mode simulation fast while exercising every
 /// window shape (the tallest stencil is 18 rows, so height > 18 + slack).
@@ -49,8 +49,8 @@ fn assert_clean(alg: Algorithm, label: &str, plan: &Plan) {
 #[test]
 fn ours_all_algorithms_clean() {
     for alg in Algorithm::all() {
-        let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
-            .compile_dag(&alg.build())
+        let out = Session::new(&alg.build(), geom())
+            .compile(&MemorySpec::new(backend(), 2), None)
             .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
         assert_clean(alg, "Ours", &out.plan);
     }
@@ -59,8 +59,8 @@ fn ours_all_algorithms_clean() {
 #[test]
 fn ours_lc_all_algorithms_clean() {
     for alg in Algorithm::all() {
-        let out = Compiler::new(geom(), MemorySpec::new(backend(), 2).with_coalescing())
-            .compile_dag(&alg.build())
+        let out = Session::new(&alg.build(), geom())
+            .compile(&MemorySpec::new(backend(), 2).with_coalescing(), None)
             .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
         assert_clean(alg, "Ours+LC", &out.plan);
     }
@@ -110,8 +110,8 @@ fn soda_all_algorithms_functional() {
 #[test]
 fn rtl_generates_and_verifies_for_all() {
     for alg in Algorithm::all() {
-        let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
-            .compile_dag(&alg.build())
+        let out = Session::new(&alg.build(), geom())
+            .compile(&MemorySpec::new(backend(), 2), None)
             .unwrap();
         let report = verify_all(&out.netlist);
         assert!(report.is_clean(), "{}: {:?}", alg.name(), report.errors);
@@ -134,8 +134,8 @@ fn netlist_interpretation_closes_the_loop_for_all() {
     // exhaustive golden/simulator/interpreter differential — both width
     // regimes, random frames — lives in tests/netlist_differential.rs.)
     for alg in Algorithm::all() {
-        let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
-            .compile_dag(&alg.build())
+        let out = Session::new(&alg.build(), geom())
+            .compile(&MemorySpec::new(backend(), 2), None)
             .unwrap();
         let input = frame(11);
         let sim = simulate(
@@ -165,9 +165,15 @@ fn dsl_text_and_builder_agree() {
         let dag1 = alg.build();
         let printed = imagen::dsl::to_dsl(&dag1);
         let dag2 = imagen::dsl::compile(alg.name(), &printed).unwrap();
-        let c = Compiler::new(geom(), MemorySpec::new(backend(), 2));
-        let d1 = c.compile_dag(&dag1).unwrap().plan.design;
-        let d2 = c.compile_dag(&dag2).unwrap().plan.design;
+        let spec = MemorySpec::new(backend(), 2);
+        let design = |dag| {
+            Session::new(dag, geom())
+                .compile(&spec, None)
+                .unwrap()
+                .plan
+                .design
+        };
+        let (d1, d2) = (design(&dag1), design(&dag2));
         assert_eq!(d1.sram_kb(), d2.sram_kb(), "{}", alg.name());
         assert_eq!(d1.start_cycles, d2.start_cycles, "{}", alg.name());
     }

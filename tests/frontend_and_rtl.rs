@@ -4,9 +4,9 @@
 
 use imagen::algos::{sample_pattern, Algorithm, TestPattern};
 use imagen::dsl::{compile, DslError};
-use imagen::rtl::verify_structure;
+use imagen::rtl::verify_all;
 use imagen::sim::{execute, Image};
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 
 #[test]
 fn dsl_error_positions_are_actionable() {
@@ -94,9 +94,9 @@ fn rtl_respects_memory_spec() {
             },
             ports,
         );
-        let out = Compiler::new(geom, spec).compile_dag(&dag).unwrap();
+        let out = Session::new(&dag, geom).compile(&spec, None).unwrap();
         let v = &out.verilog;
-        verify_structure(&out.netlist).unwrap();
+        verify_all(&out.netlist).into_result().unwrap();
         assert!(
             v.matches(macro_kind).count() >= 2,
             "P={ports} instantiates {macro_kind}"
@@ -122,8 +122,8 @@ fn rtl_embeds_every_start_cycle() {
         },
         2,
     );
-    let out = Compiler::new(geom, spec)
-        .compile_dag(&Algorithm::CannyS.build())
+    let out = Session::new(&Algorithm::CannyS.build(), geom)
+        .compile(&spec, None)
         .unwrap();
     let v = &out.verilog;
     for &s in &out.plan.design.start_cycles {
@@ -147,8 +147,8 @@ fn simulator_rejects_geometry_mismatch() {
         },
         2,
     );
-    let out = Compiler::new(geom, spec)
-        .compile_dag(&Algorithm::UnsharpM.build())
+    let out = Session::new(&Algorithm::UnsharpM.build(), geom)
+        .compile(&spec, None)
         .unwrap();
     let wrong = Image::from_fn(8, 8, |x, y| sample_pattern(TestPattern::Gradient, 0, x, y));
     assert!(imagen::sim::simulate(&out.plan.dag, &out.plan.design, &[wrong]).is_err());

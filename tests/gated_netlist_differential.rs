@@ -19,7 +19,7 @@ use imagen::algos::Algorithm;
 use imagen::power::gate_clocks;
 use imagen::rtl::{build_netlist, interpret, BitWidths};
 use imagen::sim::{execute, simulate, Image};
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 use proptest::prelude::*;
 
 fn smoke() -> bool {
@@ -68,8 +68,8 @@ fn noise_frame(seed: u64, bits: u32) -> Image {
 /// bit-exact against golden executor, cycle simulator and the ungated
 /// interpretation.
 fn gated_differential(alg: Algorithm, widths: &BitWidths, input: Image, label: &str) {
-    let out = Compiler::new(geom(), MemorySpec::new(backend(), 2).with_coalescing())
-        .compile_dag(&alg.build())
+    let out = Session::new(&alg.build(), geom())
+        .compile(&MemorySpec::new(backend(), 2).with_coalescing(), None)
         .unwrap_or_else(|e| panic!("{} ({label}): {e}", alg.name()));
     let golden = execute(&out.plan.dag, std::slice::from_ref(&input)).unwrap();
     let sim = simulate(
@@ -87,7 +87,8 @@ fn gated_differential(alg: Algorithm, widths: &BitWidths, input: Image, label: &
     let net = build_netlist(&out.plan.dag, &out.plan.design, widths);
     let gated = gate_clocks(&net);
     assert!(gated.is_gated(), "{} ({label})", alg.name());
-    imagen::rtl::verify_structure(&gated)
+    imagen::rtl::verify_all(&gated)
+        .into_result()
         .unwrap_or_else(|e| panic!("{} ({label}): gated netlist unsound: {e}", alg.name()));
 
     let plain = interpret(&net, std::slice::from_ref(&input))

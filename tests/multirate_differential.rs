@@ -23,7 +23,7 @@ use imagen::rtl::{
     BitWidths,
 };
 use imagen::sim::{execute, simulate, Image};
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 
 fn smoke() -> bool {
     matches!(
@@ -80,8 +80,8 @@ fn pyramid_dag(file: &str) -> imagen::ir::Dag {
 /// every output stream bit-exact across the quartet.
 fn four_way(file: &str, widths: &BitWidths, input: Image, label: &str) {
     let dag = pyramid_dag(file);
-    let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
-        .compile_dag(&dag)
+    let out = Session::new(&dag, geom())
+        .compile(&MemorySpec::new(backend(), 2), None)
         .unwrap_or_else(|e| panic!("{file} ({label}): {e}"));
     assert!(
         out.plan.dag.is_multirate(),
@@ -172,8 +172,8 @@ fn pyramid_buffer_sizing_is_minimal() {
     let input = noise_frame(3, 4);
     for file in PYRAMIDS {
         let dag = pyramid_dag(file);
-        let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
-            .compile_dag(&dag)
+        let out = Session::new(&dag, geom())
+            .compile(&MemorySpec::new(backend(), 2), None)
             .unwrap();
 
         // Baseline: the planned design is residency- and port-clean.

@@ -19,7 +19,7 @@
 use imagen::algos::Algorithm;
 use imagen::rtl::{build_netlist, interpret, BitWidths};
 use imagen::sim::{execute, simulate, Image};
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 use proptest::prelude::*;
 
 fn smoke() -> bool {
@@ -68,8 +68,8 @@ fn noise_frame(seed: u64, bits: u32) -> Image {
 /// Compiles `alg`, interprets its netlist at `widths` on `input`, and
 /// checks the streamed frames bit-exact against golden and cycle model.
 fn differential(alg: Algorithm, widths: &BitWidths, input: Image, label: &str) {
-    let out = Compiler::new(geom(), MemorySpec::new(backend(), 2).with_coalescing())
-        .compile_dag(&alg.build())
+    let out = Session::new(&alg.build(), geom())
+        .compile(&MemorySpec::new(backend(), 2).with_coalescing(), None)
         .unwrap_or_else(|e| panic!("{} ({label}): {e}", alg.name()));
     let golden = execute(&out.plan.dag, std::slice::from_ref(&input)).unwrap();
     let sim = simulate(

@@ -3,7 +3,7 @@
 
 use imagen::algos::Algorithm;
 use imagen::baselines::{generate_darkroom, generate_fixynn, generate_soda};
-use imagen::{Compiler, Design, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{Design, ImageGeometry, MemBackend, MemorySpec, Session};
 
 fn geom() -> ImageGeometry {
     ImageGeometry {
@@ -20,8 +20,8 @@ fn backend() -> MemBackend {
 }
 
 fn ours(alg: Algorithm) -> Design {
-    Compiler::new(geom(), MemorySpec::new(backend(), 2))
-        .compile_dag(&alg.build())
+    Session::new(&alg.build(), geom())
+        .compile(&MemorySpec::new(backend(), 2), None)
         .unwrap()
         .plan
         .design
@@ -157,8 +157,8 @@ fn xcorr_linearization_blowup() {
 fn latency_cost_is_negligible() {
     // Sec. 8.1: Ours adds ~0.01% latency over the ASAP (SODA) schedule.
     for alg in Algorithm::all() {
-        let us = Compiler::new(geom(), MemorySpec::new(backend(), 2))
-            .compile_dag(&alg.build())
+        let us = Session::new(&alg.build(), geom())
+            .compile(&MemorySpec::new(backend(), 2), None)
             .unwrap()
             .plan;
         let soda = generate_soda(&alg.build(), &geom(), backend()).unwrap();

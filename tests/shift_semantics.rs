@@ -20,7 +20,7 @@
 use imagen::ir::BinOp;
 use imagen::rtl::{build_netlist, interpret, BitWidths};
 use imagen::sim::{execute, simulate, Image};
-use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{ImageGeometry, MemBackend, MemorySpec, Session};
 
 const SRC: &str = "
     input a;
@@ -84,7 +84,7 @@ fn data_dependent_shifts_agree_everywhere() {
         },
         2,
     );
-    let out = Compiler::new(geom(), spec).compile_dag(&dag).unwrap();
+    let out = Session::new(&dag, geom()).compile(&spec, None).unwrap();
     let input = amounts_frame();
 
     let golden = execute(&out.plan.dag, std::slice::from_ref(&input)).unwrap();
@@ -130,7 +130,7 @@ fn emitted_text_uses_plain_verilog_shifts() {
         },
         2,
     );
-    let out = Compiler::new(geom(), spec).compile_dag(&dag).unwrap();
+    let out = Session::new(&dag, geom()).compile(&spec, None).unwrap();
     let shift_lines: Vec<&str> = out
         .verilog
         .lines()

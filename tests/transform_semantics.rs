@@ -5,7 +5,7 @@
 
 use imagen::algos::{sample_pattern, Algorithm, TestPattern};
 use imagen::sim::{execute, simulate, Image};
-use imagen::{Compiler, DesignStyle, ImageGeometry, MemBackend, MemorySpec};
+use imagen::{DesignStyle, ImageGeometry, MemBackend, MemorySpec, Session};
 use imagen_ir::{apply_line_coalescing, linearize, CoalesceFactor};
 
 fn geom() -> ImageGeometry {
@@ -113,9 +113,8 @@ fn linearized_designs_simulate_bit_exact() {
         },
         2,
     );
-    let out = Compiler::new(geom(), spec)
-        .with_style(DesignStyle::Darkroom)
-        .compile_dag(&lin.dag)
+    let out = Session::new(&lin.dag, geom())
+        .compile(&spec, Some(DesignStyle::Darkroom))
         .unwrap();
     let input = frame(17);
     let report = simulate(
@@ -170,9 +169,8 @@ fn sync_groups_survive_scheduling() {
         },
         2,
     );
-    let out = Compiler::new(geom(), spec)
-        .with_style(DesignStyle::Darkroom)
-        .compile_dag(&lin.dag)
+    let out = Session::new(&lin.dag, geom())
+        .compile(&spec, Some(DesignStyle::Darkroom))
         .unwrap();
     for (id, s) in out.plan.dag.stages() {
         if let Some(g) = s.sync_group() {
